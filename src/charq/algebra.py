@@ -1,8 +1,7 @@
 """Exact sparse Laurent-polynomial arithmetic over the rationals.
 
-A polynomial is a dict mapping dense exponent tuples to rational
-coefficients.  The variable set is fixed by a :class:`VarTable` holding,
-in order, the blocks
+The variable set is fixed by a :class:`VarTable` holding, in order, the
+blocks
 
     x_1 .. x_n,  y_1 .. y_n,  a_1 .. a_amax,  t
 
@@ -12,16 +11,32 @@ polynomial variables with exponents >= 0.  Coefficients are Python ints
 whenever the value is integral and :class:`fractions.Fraction` otherwise;
 the two compare and hash identically, so mixed dicts are safe.
 
+A polynomial is a dict mapping packed monomials to coefficients.  A
+packed monomial is one Python int made of ``WIDTH``-bit fields: the
+total degree in the most significant field, then one field per variable
+in table order (x1 first, t in the lowest field).  Each field stores its
+exponent plus ``BIAS``, so Laurent exponents are stored as non-negative
+values, and its top bit is a guard bit that stays clear.  With
+``WIDTH = 20`` and ``BIAS = 2**18``, exponents and total degrees must lie
+in [-2**18, 2**18); anything outside raises :class:`ExponentOverflow`
+instead of wrapping.  Monomial product is ``ma + mb - vt.zero``.  A
+product field that leaves the range, upwards or by borrowing below zero,
+sets that field's guard bit, so one OR over a product's keys, masked
+with ``vt.guard``, detects an overflow.
+
 The canonical term order is graded lexicographic over the block order
-above (total degree first, then the exponent vector, larger first).  All
-serialisation sorts terms this way, so output bytes are reproducible.
+above (total degree first, then the exponent vector, larger first).
+With the layout above that is plain integer order of the packed keys.
+All serialisation sorts terms this way, so output bytes are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-import heapq
+from functools import reduce
+from heapq import heapify, heappop, heappush
 import json
+from operator import mul, or_
 
 
 class AlgebraError(Exception):
@@ -44,6 +59,18 @@ class AIndexOutOfRange(AlgebraError):
     """A factorial parameter index exceeds the a_max retained in the table."""
 
 
+class ExponentOverflow(AlgebraError):
+    """An exponent or total degree left the packed range [-BIAS, BIAS)."""
+
+
+# Packed monomial layout (module docstring): fields of WIDTH bits, exponent
+# e stored as e + BIAS, the field's top bit kept clear as a guard.
+WIDTH = 20
+BIAS = 1 << (WIDTH - 2)
+_GUARD = 1 << (WIDTH - 1)
+_FIELD = (1 << WIDTH) - 1
+
+
 # Determinants switch from cofactor expansion to fraction-free elimination
 # above this size; cofactor wins on the small sparse symbolic matrices that
 # dominate this package, Bareiss bounds intermediate swell beyond that.
@@ -61,7 +88,8 @@ class VarTable:
     interchangeable and compare equal.
     """
 
-    __slots__ = ("n", "a_max", "size", "names", "index", "t_pos")
+    __slots__ = ("n", "a_max", "size", "names", "index", "t_pos",
+                 "shifts", "units", "zero", "guard")
 
     def __init__(self, n: int, a_max: int):
         if n < 1:
@@ -78,6 +106,13 @@ class VarTable:
         self.index = {name: pos for pos, name in enumerate(names)}
         self.size = len(names)
         self.t_pos = self.size - 1
+        # packed layout: slot pos sits at shifts[pos], the degree above x1
+        self.shifts = tuple(WIDTH * (self.size - 1 - pos) for pos in range(self.size))
+        degree = 1 << (WIDTH * self.size)
+        self.units = tuple((1 << s) | degree for s in self.shifts)
+        fields = range(0, WIDTH * (self.size + 1), WIDTH)
+        self.zero = sum(BIAS << s for s in fields)
+        self.guard = sum(_GUARD << s for s in fields)
 
     def x_pos(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -97,6 +132,19 @@ class VarTable:
 
     def is_laurent(self, pos: int) -> bool:
         return pos < 2 * self.n
+
+    def pack(self, mono) -> int:
+        """Packed key of a dense exponent tuple; ExponentOverflow if an
+        exponent or the total degree is outside [-BIAS, BIAS)."""
+        if len(mono) != self.size:
+            raise ValueError(f"monomial needs {self.size} exponents, got {len(mono)}")
+        if min(mono) < -BIAS or max(mono) >= BIAS or not -BIAS <= sum(mono) < BIAS:
+            raise ExponentOverflow(f"exponent outside [-{BIAS}, {BIAS}) in {tuple(mono)}")
+        return self.zero + sum(map(mul, mono, self.units))
+
+    def unpack(self, key: int) -> tuple:
+        """Dense exponent tuple of a packed key."""
+        return tuple(((key >> s) & _FIELD) - BIAS for s in self.shifts)
 
     def __eq__(self, other):
         return isinstance(other, VarTable) and (self.n, self.a_max) == (other.n, other.a_max)
@@ -134,38 +182,58 @@ def _cdiv(a, b):
     return Fraction(a) / Fraction(b)
 
 
-def _order_key(mono):
-    return (sum(mono), mono)
+def _check_keys(vt: VarTable, keys) -> None:
+    """Raise ExponentOverflow if a key formed by adding a field-wise offset
+    below 2*BIAS in magnitude to a valid key (as a product of two valid
+    keys does) has a field outside the range: its guard bit is then set."""
+    if reduce(or_, keys, 0) & vt.guard:
+        raise ExponentOverflow(f"exponent or degree left [-{BIAS}, {BIAS})")
+
+
+_new = object.__new__
+
+
+def _poly(vt: VarTable, terms: dict) -> "MultiPoly":
+    """MultiPoly from a dict that is already keyed by packed monomials."""
+    p = _new(MultiPoly)
+    p.vt = vt
+    p.terms = terms
+    return p
 
 
 class MultiPoly:
     """Immutable sparse multivariate Laurent polynomial.
 
-    ``terms`` maps dense exponent tuples (one slot per VarTable entry) to
-    nonzero int/Fraction coefficients.  Instances are never mutated after
-    construction; all operations return fresh values, so sharing across
-    threads is safe.
+    ``terms`` maps packed monomials (module docstring: one int per
+    monomial, total-degree field on top, then x1 .. t, each field biased
+    by BIAS with a clear guard bit) to nonzero int/Fraction coefficients.
+    The constructor takes dense exponent tuples (one slot per VarTable
+    entry) and packs them; exponents and total degrees must lie in
+    [-BIAS, BIAS), and an operation whose result leaves that range raises
+    ExponentOverflow.  Instances are never mutated after construction;
+    all operations return fresh values, so sharing across threads is safe.
     """
 
     __slots__ = ("vt", "terms")
 
     def __init__(self, vt: VarTable, terms: dict):
         self.vt = vt
-        self.terms = terms
+        pack = vt.pack
+        self.terms = {pack(m): c for m, c in terms.items()}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, vt: VarTable) -> "MultiPoly":
-        return cls(vt, {})
+        return _poly(vt, {})
 
     @classmethod
     def const(cls, vt: VarTable, c) -> "MultiPoly":
         if isinstance(c, Fraction) and c.denominator == 1:
             c = c.numerator
         if c == 0:
-            return cls(vt, {})
-        return cls(vt, {(0,) * vt.size: c})
+            return _poly(vt, {})
+        return _poly(vt, {vt.zero: c})
 
     @classmethod
     def one(cls, vt: VarTable) -> "MultiPoly":
@@ -184,9 +252,9 @@ class MultiPoly:
             return cls.one(vt)
         if exp < 0 and not vt.is_laurent(pos):
             raise ValueError("negative exponents are allowed only on x/y variables")
-        mono = [0] * vt.size
-        mono[pos] = exp
-        return cls(vt, {tuple(mono): 1})
+        if not -BIAS <= exp < BIAS:
+            raise ExponentOverflow(f"exponent {exp} outside [-{BIAS}, {BIAS})")
+        return _poly(vt, {vt.zero + exp * vt.units[pos]: 1})
 
     # -- predicates / views -------------------------------------------
 
@@ -208,20 +276,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({poly_to_text(self)})"
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_order_key)
-
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(m) for m in self.terms)
-
-    def uses_t(self) -> bool:
-        tp = self.vt.t_pos
-        return any(m[tp] for m in self.terms)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -248,12 +302,12 @@ class MultiPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return MultiPoly(self.vt, out)
+        return _poly(self.vt, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vt, {m: -c for m, c in self.terms.items()})
+        return _poly(self.vt, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,23 +318,26 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        vt = self.vt
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return MultiPoly.zero(self.vt)
+                return MultiPoly.zero(vt)
             if other == 1:
                 return self
-            return MultiPoly(self.vt, {m: c * other for m, c in self.terms.items()})
+            return _poly(vt, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         a, b = self.terms, other.terms
         if not a or not b:
-            return MultiPoly.zero(self.vt)
+            return MultiPoly.zero(vt)
         if len(a) < len(b):
             a, b = b, a
+        zero = vt.zero
         out: dict = {}
         get = out.get
         for mb, cb in b.items():
+            off = mb - zero
             for ma, ca in a.items():
-                m = tuple(map(int.__add__, ma, mb))
+                m = ma + off
                 c = ca * cb
                 s = get(m)
                 if s is None:
@@ -291,7 +348,11 @@ class MultiPoly:
                         out[m] = s
                     else:
                         del out[m]
-        return MultiPoly(self.vt, out)
+        # distinct true monomials of a product never share a key, even out
+        # of range, so a cancelled key had a true zero coefficient and
+        # checking the surviving keys suffices
+        _check_keys(vt, out)
+        return _poly(vt, out)
 
     __rmul__ = __mul__
 
@@ -384,22 +445,28 @@ def factorial_power(vt: VarTable, i: int, m: int, barred: bool = False) -> Multi
 
 # -- exact division -----------------------------------------------------
 
-def _col_mins(terms, size):
-    it = iter(terms)
-    first = next(it)
-    mins = list(first)
-    for m in it:
-        for p, e in enumerate(m):
-            if e < mins[p]:
-                mins[p] = e
-    return mins
+def _col_mins(terms, vt: VarTable) -> list:
+    """Per-slot minimum exponent of packed keys: the x/y slots, 0 elsewhere."""
+    nxy = 2 * vt.n
+    return ([min((m >> s) & _FIELD for m in terms) - BIAS for s in vt.shifts[:nxy]]
+            + [0] * (vt.size - nxy))
 
 
-def _shift(p: MultiPoly, shift) -> MultiPoly:
+def _shift(terms: dict, vt: VarTable, shift) -> dict:
+    """Packed terms multiplied by the monomial with exponent tuple ``shift``
+    (entries in (-2*BIAS, 2*BIAS), any total); ExponentOverflow if a result
+    leaves the range."""
     if not any(shift):
-        return p
-    return MultiPoly(p.vt, {tuple(map(int.__add__, m, shift)): c
-                            for m, c in p.terms.items()})
+        return terms
+    off = sum(map(mul, shift, vt.units))
+    out = {m + off: c for m, c in terms.items()}
+    # an entry below 2*BIAS in magnitude sets its field's guard bit when it
+    # leaves the range; the degree field, shifted by the sum, is checked by
+    # value: a valid key lies in [0, guard bit of the degree field)
+    _check_keys(vt, out)
+    if min(out) < 0 or max(out) >= _GUARD << (WIDTH * vt.size):
+        raise ExponentOverflow(f"total degree left [-{BIAS}, {BIAS}) in a division")
+    return out
 
 
 def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
@@ -419,61 +486,56 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     if not num.terms:
         return MultiPoly.zero(vt)
 
-    nlaurent = 2 * vt.n
-    mnum = _col_mins(num.terms, vt.size)
-    mden = _col_mins(den.terms, vt.size)
-    shift_den = [0] * vt.size
-    shift_q = [0] * vt.size
-    for p in range(nlaurent):
-        if mden[p] < 0:
-            shift_den[p] = -mden[p]
-        gap = mnum[p] - mden[p]
-        if gap < 0:
-            shift_q[p] = -gap
-    shift_num = tuple(a + b for a, b in zip(shift_den, shift_q))
-
-    P = _shift(num, shift_num).terms
-    D = _shift(den, tuple(shift_den)).terms
-    dlead = max(D, key=_order_key)
+    # shift numerator and divisor so that every x/y slot has minimum 0; the
+    # shifted quotient is then a polynomial with minimum 0 in each slot, the
+    # true quotient times x^(mden - mnum)
+    mnum = _col_mins(num.terms, vt)
+    mden = _col_mins(den.terms, vt)
+    P = _shift(num.terms, vt, [-e for e in mnum])
+    D = _shift(den.terms, vt, [-e for e in mden])
+    dlead = max(D)
     dcoef = D[dlead]
-    drest = [(dm, dc) for dm, dc in D.items() if dm != dlead]
+    drest = [(dm - dlead, dc) for dm, dc in D.items() if dm != dlead]
+    guard = vt.guard
+    # (m - dtest) & guard == guard  iff  every field of m is >= dlead's,
+    # i.e. the leading term divides m; no field borrows for valid keys
+    dtest = dlead - guard
+    qoff = vt.zero - dlead
 
     # Lazy max-heap over the running remainder: every key currently in r
     # is on the heap (possibly with stale duplicates), and subtracting a
     # quotient term only introduces monomials below the removed lead, so
     # popping in decreasing order always yields the true leading term.
-    def hkey(m):
-        return (-sum(m), tuple(-e for e in m), m)
-
+    # Such a monomial m*dm/dlead has no negative field (m passed the
+    # divisibility test, dm is a polynomial monomial) and a degree at most
+    # m's, so it stays in range and needs no overflow check.
     r = dict(P)
-    heap = [hkey(m) for m in r]
-    heapq.heapify(heap)
+    heap = [-m for m in r]
+    heapify(heap)
     q: dict = {}
+    rget = r.get
     while heap:
-        m = heapq.heappop(heap)[2]
-        c = r.get(m)
+        m = -heappop(heap)
+        c = r.pop(m, None)
         if c is None:
             continue
-        del r[m]
-        qm = tuple(map(int.__sub__, m, dlead))
-        if any(e < 0 for e in qm):
+        if (m - dtest) & guard != guard:
             raise NonExactDivision("nonzero remainder in exact division")
         qc = _cdiv(c, dcoef)
-        q[qm] = qc
-        for dm, dc in drest:
-            mm = tuple(map(int.__add__, qm, dm))
-            s = r.get(mm)
+        q[m + qoff] = qc
+        for dd, dc in drest:
+            mm = m + dd
+            s = rget(mm)
             if s is None:
                 r[mm] = -qc * dc
-                heapq.heappush(heap, hkey(mm))
+                heappush(heap, -mm)
             else:
                 s = s - qc * dc
                 if s:
                     r[mm] = s
                 else:
                     del r[mm]
-    unshift = tuple(-s for s in shift_q)
-    return _shift(MultiPoly(vt, q), unshift)
+    return _poly(vt, _shift(q, vt, list(map(int.__sub__, mnum, mden))))
 
 
 # -- determinants --------------------------------------------------------
@@ -551,8 +613,9 @@ def _det_bareiss(rows, vt) -> MultiPoly:
 # -- substitution --------------------------------------------------------
 
 def _invert_monomial(p: MultiPoly) -> MultiPoly:
-    [(mono, coeff)] = p.terms.items()
+    [(key, coeff)] = p.terms.items()
     vt = p.vt
+    mono = vt.unpack(key)
     for pos, e in enumerate(mono):
         if e and not vt.is_laurent(pos):
             raise NonInvertibleBinding("cannot invert a monomial in a/t variables")
@@ -575,7 +638,7 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
             raise VarTableMismatch(f"unknown variable {name!r}")
         if b.vt != vt:
             raise VarTableMismatch("binding value uses a different variable table")
-        if any(m[pos] for m in b.terms):
+        if any(vt.unpack(m)[pos] for m in b.terms):
             raise ValueError(f"binding for {name} must not contain {name}")
         bound[pos] = b
     if not bound or not p.terms:
@@ -600,11 +663,11 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
 
     positions = sorted(bound)
     total = MultiPoly.zero(vt)
-    for mono, c in p.terms.items():
-        base = list(mono)
+    for key, c in p.terms.items():
+        base = list(vt.unpack(key))
         factors = []
         for pos in positions:
-            e = mono[pos]
+            e = base[pos]
             if e:
                 base[pos] = 0
                 factors.append(power(pos, e))
@@ -622,7 +685,8 @@ def project_away_a(p: MultiPoly) -> MultiPoly:
     small = vartable(vt.n, 0)
     lo, hi = 2 * vt.n, 2 * vt.n + vt.a_max
     out = {}
-    for mono, c in p.terms.items():
+    for key, c in p.terms.items():
+        mono = vt.unpack(key)
         if any(mono[lo:hi]):
             raise ValueError("polynomial still involves a-variables")
         out[mono[:lo] + (mono[vt.t_pos],)] = c
@@ -644,9 +708,9 @@ def permute_variables(p: MultiPoly, mapping: dict[str, str]) -> MultiPoly:
     if len(set(perm)) != vt.size:
         raise ValueError("variable permutation must be injective")
     out = {}
-    for mono, c in p.terms.items():
+    for key, c in p.terms.items():
         new_mono = [0] * vt.size
-        for pos, e in enumerate(mono):
+        for pos, e in enumerate(vt.unpack(key)):
             if e:
                 new_mono[perm[pos]] = e
         out[tuple(new_mono)] = c
@@ -736,8 +800,10 @@ def coeff_of_t(s: TruncatedSeries, m: int) -> MultiPoly:
 # -- canonical serialisation ---------------------------------------------
 
 def sorted_terms(p: MultiPoly):
-    """Terms in canonical order: graded-lex, leading term first."""
-    return sorted(p.terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
+    """(exponent tuple, coefficient) pairs in canonical order: graded-lex,
+    leading term first, which is descending order of the packed keys."""
+    unpack, terms = p.vt.unpack, p.terms
+    return [(unpack(m), terms[m]) for m in sorted(terms, reverse=True)]
 
 
 def _coeff_str(c) -> str:

@@ -8,8 +8,10 @@ Subcommands:
               optionally with their lattice-path images)
     verify    run an identity suite over a bounded grid
 
-Exit codes: 0 success, 2 usage or specification error, 3 identity failure
-(route disagreement or a failing suite case).  All output is exact and
+Exit codes: 0 success, 2 usage or specification error (including an
+exponent outside the packed range), 3 identity failure (route
+disagreement or a failing suite case).  A reader that closes stdout early
+ends the command quietly with exit 0.  All output is exact and
 byte-identical across runs for identical invocations.
 """
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import (AlgebraError, MultiPoly, poly_to_obj, poly_to_text,
@@ -235,6 +238,13 @@ def main(argv=None) -> int:
     except (AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed the pipe early (`charq ... | head`); send what is
+        # still buffered to devnull so the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charq.algebra import (COFACTOR_MAX, AIndexOutOfRange, MultiPoly,
-                           NonExactDivision, NonInvertibleBinding,
-                           TruncatedSeries, VarTableMismatch, av, coeff_of_t,
-                           determinant, exact_div, factorial_power, monomial,
+from charq import cli
+from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
+                           ExponentOverflow, MultiPoly, NonExactDivision,
+                           NonInvertibleBinding, TruncatedSeries,
+                           VarTableMismatch, av, coeff_of_t, determinant,
+                           exact_div, factorial_power, monomial,
                            permute_variables, poly_arith, poly_from_json,
                            poly_to_json, poly_to_obj, poly_to_text,
-                           series_inverse_linear, specialize, vartable,
-                           vartable_for, xbar, xv, yv)
+                           series_inverse_linear, sorted_terms, specialize,
+                           vartable, vartable_for, xbar, xv, yv)
 
 from oracles import perm_determinant
 
@@ -359,3 +361,121 @@ def test_vartable_for_sizing():
     assert vt.n == 2 and vt.a_max == 3 + 4
     assert vt.names[-1] == "t"
     assert vt.names[0] == "x1" and vt.names[2] == "y1"
+
+
+# -- packed exponent range ----------------------------------------------------
+
+
+def _tuple_product(p, q):
+    """Reference product on dense exponent tuples."""
+    out = {}
+    for ma, ca in sorted_terms(p):
+        for mb, cb in sorted_terms(q):
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@given(polys(), polys())
+def test_packed_product_matches_tuple_reference(p, q):
+    expected = _tuple_product(p, q)
+    got = sorted_terms(p * q)
+    assert dict(got) == expected
+    assert [m for m, _ in got] == sorted(expected, key=lambda m: (sum(m), m),
+                                         reverse=True)
+
+
+def test_packing_rejects_out_of_range_exponents():
+    top = [0] * VT.size
+    top[VT.x_pos(1)] = BIAS - 1
+    assert MultiPoly(VT, {tuple(top): 1}) == _x(1, BIAS - 1)
+    for pos, e in ((VT.x_pos(1), BIAS), (VT.y_pos(2), -BIAS - 1),
+                   (VT.a_pos(1), BIAS)):
+        mono = [0] * VT.size
+        mono[pos] = e
+        with pytest.raises(ExponentOverflow):
+            MultiPoly(VT, {tuple(mono): 1})
+        with pytest.raises(ExponentOverflow):
+            MultiPoly.var_at(VT, pos, e)
+
+
+def test_product_crossing_top_of_range_raises():
+    assert poly_to_obj(_x(1, BIAS - 2) * _x(1))["terms"][0]["e"] == {"x1": BIAS - 1}
+    with pytest.raises(ExponentOverflow):
+        _x(1, BIAS - 1) * _x(1)
+    with pytest.raises(ExponentOverflow):
+        (_x(1, BIAS - 1) + _x(2)) * (_x(1) + av(VT, 1))
+
+
+def test_product_crossing_bottom_of_range_raises():
+    # the borrow case: the x1 field goes below zero
+    assert poly_to_obj(_x(1, -BIAS + 1) * _x(1, -1))["terms"][0]["e"] == {"x1": -BIAS}
+    with pytest.raises(ExponentOverflow):
+        _x(1, -BIAS) * _x(1, -1)
+    with pytest.raises(ExponentOverflow):
+        _x(1, -BIAS) * (_x(2) + _x(1, -1))
+
+
+def test_product_overflowing_only_the_total_degree_raises():
+    half = BIAS // 2
+    fits = _x(1, half) * _x(2, half - 1)
+    assert poly_to_obj(fits)["terms"][0]["e"] == {"x1": half, "x2": half - 1}
+    with pytest.raises(ExponentOverflow):
+        _x(1, half) * _x(2, half)
+    with pytest.raises(ExponentOverflow):
+        _x(1, -half) * _x(2, -half - 1)
+
+
+def test_exponent_overflow_exits_2_through_cli(capsys, monkeypatch):
+    def huge_power(kind, parts, vt, method):
+        return xv(vt, 1) ** BIAS
+
+    monkeypatch.setattr(cli, "character", huge_power)
+    code = cli.main(["char", "--kind", "gl", "--n", "1", "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_exact_div_near_the_ends_of_the_range():
+    vt = vartable(1, 0)
+    x = xv(vt, 1)
+    den = xbar(vt, 1) + 1
+    assert exact_div(den * x ** (BIAS - 1), den) == x ** (BIAS - 1)
+    low = MultiPoly.var_at(vt, vt.x_pos(1), -BIAS)
+    assert exact_div(den * x * low, den) == x * low
+
+
+def test_exact_div_quotient_leaving_the_range_raises():
+    vt = vartable(1, 0)
+    x = xv(vt, 1)
+    low = MultiPoly.var_at(vt, vt.x_pos(1), -BIAS)
+    with pytest.raises(ExponentOverflow):
+        exact_div(x ** (BIAS - 1), xbar(vt, 1))
+    with pytest.raises(ExponentOverflow):
+        exact_div(low, x)
+
+
+def test_exact_div_operand_span_beyond_the_range_raises():
+    # each operand is shifted to minimum exponent 0 per x/y variable, so
+    # a span of BIAS in one variable, or a shifted total degree that would
+    # carry out of the top field, raises instead of wrapping
+    vt = vartable(1, 0)
+    span = xv(vt, 1) ** (BIAS - 1) + MultiPoly.var_at(vt, vt.x_pos(1), -1)
+    with pytest.raises(ExponentOverflow):
+        exact_div(span, MultiPoly.one(vt))
+    vt = vartable(2, 0)
+    # four terms x1^b (x2 y1 y2)^(b + BIAS - 1) t^3 and their rotations over
+    # the x/y slots: every shifted term has degree 3*BIAS, which wraps the
+    # degree field without setting its guard bit
+    b = -BIAS // 2 - 1
+    terms = {}
+    for pos in range(4):
+        mono = [b + BIAS - 1] * 4 + [3]
+        mono[pos] = b
+        terms[tuple(mono)] = 1
+    num = MultiPoly(vt, terms)
+    with pytest.raises(ExponentOverflow):
+        exact_div(num, MultiPoly.one(vt))

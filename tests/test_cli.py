@@ -179,3 +179,22 @@ def test_subprocess_invocation_end_to_end():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.splitlines()[-1] == "equal: true"
+
+
+def test_closed_pipe_exits_quietly():
+    import subprocess
+    import sys
+    # the JSON path stream is far larger than a pipe buffer, so the
+    # writer is still printing when the reader goes away
+    cmd = [sys.executable, "-m", "charq.cli", "tableaux", "--kind", "spChar",
+           "--n", "3", "--lambda", "3,2,1", "--paths"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert json.loads(proc.stdout.readline())["tableau"]["kind"] == "spChar"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
