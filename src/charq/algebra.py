@@ -424,7 +424,14 @@ def add_a(base: MultiPoly, k: int, sign: int = 1) -> MultiPoly:
     if k <= 0:
         return base
     vt = base.vt
-    return base + sign * av(vt, k)
+    key = vt.zero + vt.units[vt.a_pos(k)]
+    terms = dict(base.terms)
+    c = terms.get(key, 0) + sign
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+    return _poly(vt, terms)
 
 
 def factorial_power(vt: VarTable, i: int, m: int, barred: bool = False) -> MultiPoly:

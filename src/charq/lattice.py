@@ -12,6 +12,13 @@ Edge types: H horizontal, V vertical (weight 1, filler), D diagonal,
 C curved start.  For every valid tableau the product of edge weights of
 its image equals the tableau weight, distinct tableaux give distinct
 tuples, and the paths of one tuple share no lattice vertex.
+
+Every H, D and C edge weighs one factor v + a_k, v - a_k or 1 - a_k
+(v one of x_i, xbar_i, y_i, ybar_i; a_k = 0 for k <= 0), and so does
+every cell of a tableau: the image of a tableau carries the factors of
+its cells.  ``verify.suite_lgv`` checks weight preservation that way.
+It compares the two factor multisets and multiplies both sides out
+only when they differ, where the products decide exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MultiPoly, VarTable, add_a, xbar, xv, ybar, yv
-from .tableaux import CHAR_KINDS, Entry, Tableau, check_shape, validate_tableau
+from .tableaux import CHAR_KINDS, Entry, Tableau, validate_tableau
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,6 @@ def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
     report = validate_tableau(t)
     if not report:
         raise ValueError(f"invalid tableau: {report.rule} at {report.cell}")
-    check_shape(t.kind, t.shape, t.n)
     if t.kind in CHAR_KINDS:
         return _char_paths(t, vt)
     return _q_paths(t, vt)

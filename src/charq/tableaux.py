@@ -97,6 +97,17 @@ def alphabet(kind: str, n: int) -> tuple[Entry, ...]:
     return got
 
 
+_RANKS: dict[tuple[str, int], dict[Entry, int]] = {}
+
+
+def _rank_map(kind: str, n: int) -> dict[Entry, int]:
+    """Letter -> rank in the alphabet of ``kind`` at rank n (cached)."""
+    got = _RANKS.get((kind, n))
+    if got is None:
+        got = _RANKS[(kind, n)] = {e: r for r, e in enumerate(alphabet(kind, n))}
+    return got
+
+
 def entry_from_token(token: str) -> Entry:
     s = token
     primed = s.endswith("prime")
@@ -135,7 +146,17 @@ def _row_min_rank(kind: str, i: int) -> int:
     return 0
 
 
+_SHAPES: dict[tuple, tuple[int, ...]] = {}
+
+
 def check_shape(kind: str, shape, n: int) -> tuple[int, ...]:
+    """Cleaned parts of ``shape`` if it is valid for ``kind`` at rank n,
+    else ShapeKindMismatch.  Successes on tuple shapes are cached."""
+    key = (kind, shape, n) if isinstance(shape, tuple) else None
+    if key is not None:
+        got = _SHAPES.get(key)
+        if got is not None:
+            return got
     parts = as_parts(shape)
     if kind not in ALL_KINDS:
         raise ValueError(f"unknown tableau kind {kind!r}")
@@ -146,6 +167,8 @@ def check_shape(kind: str, shape, n: int) -> tuple[int, ...]:
         raise ShapeKindMismatch(f"{kind} needs a strict shape, got {parts}")
     if len(parts) > n:
         raise ShapeKindMismatch(f"shape {parts} has more than n={n} rows")
+    if key is not None:
+        _SHAPES[key] = parts
     return parts
 
 
@@ -169,9 +192,6 @@ class Tableau:
 
     def col_start(self, i: int) -> int:
         return i if self.shifted else 1
-
-    def cell(self, i: int, j: int) -> Entry:
-        return self.rows[i - 1][j - self.col_start(i)]
 
     def cells(self):
         """Yield ((i, j), entry) in row-major scan order, 1-based."""
@@ -214,51 +234,58 @@ def validate_tableau(t: Tableau) -> ValidationReport:
     violated rule (scanning cells row-major, local rules first)."""
     kind = t.kind
     parts = check_shape(kind, t.shape, t.n)
-    if tuple(len(r) for r in t.rows) != parts:
+    rows = t.rows
+    if tuple(map(len, rows)) != parts:
         return ValidationReport(False, "shape", None, "rows do not match shape")
-    alpha = alphabet(kind, t.n)
-    rank_of = {e: r for r, e in enumerate(alpha)}
+    rank_of = _rank_map(kind, t.n)
     qkind = kind in Q_KINDS
+    spso_char = kind in ("spChar", "soChar")
+    spso_q = kind in ("spQ", "soQ")
     labels = _RULE_LABELS[kind]
+    # the cell above row i's c-th cell is the (c+1)-th of the row above
+    # in the shifted families, the c-th otherwise
+    up_shift = 1 if qkind else 0
+    above: list[int] = []          # ranks of the row above
 
-    for (i, j), e in t.cells():
-        r = rank_of.get(e)
-        if r is None:
-            return ValidationReport(False, "alphabet", (i, j),
-                                    f"{e.token} not in the {kind} alphabet")
-        start = t.col_start(i)
-        if j > start:
-            left = t.cell(i, j - 1)
-            lr = rank_of[left]
-            if r < lr:
-                return ValidationReport(False, labels["row_weak"], (i, j),
-                                        "entries must weakly increase across rows")
-            if r == lr and not _row_repeat_ok(kind, e):
-                return ValidationReport(False, labels["row_repeat"], (i, j),
-                                        f"{e.token} may not repeat within a row")
-        above_exists = i > 1 and (j - t.col_start(i - 1)) < len(t.rows[i - 2])
-        if above_exists:
-            up = t.cell(i - 1, j)
-            ur = rank_of[up]
-            if r < ur:
-                return ValidationReport(False, labels["col_weak"], (i, j),
-                                        "entries must weakly increase down columns")
-            if r == ur and not _col_stack_ok(kind, e):
-                return ValidationReport(False, labels["col_repeat"], (i, j),
-                                        f"{e.token} may not repeat within a column")
-        if not qkind and kind in ("spChar", "soChar") and not e.zero and e.k < i:
-            return ValidationReport(False, "T4", (i, j),
-                                    f"{e.token} may not appear below row {e.k}")
-        if qkind and j == i:
-            if e.zero:
-                return ValidationReport(False, "Q6", (i, j),
-                                        "0prime may not sit on the main diagonal")
-            if i > 1 and kind in ("spQ", "soQ"):
-                prev = t.cell(i - 1, i - 1)
-                if prev.k == e.k:
+    for i, row in enumerate(rows, start=1):
+        start = i if qkind else 1
+        ranks: list[int] = []
+        for c, e in enumerate(row):
+            j = start + c
+            r = rank_of.get(e)
+            if r is None:
+                return ValidationReport(False, "alphabet", (i, j),
+                                        f"{e.token} not in the {kind} alphabet")
+            if c:
+                lr = ranks[-1]
+                if r < lr:
+                    return ValidationReport(False, labels["row_weak"], (i, j),
+                                            "entries must weakly increase across rows")
+                if r == lr and not _row_repeat_ok(kind, e):
+                    return ValidationReport(False, labels["row_repeat"], (i, j),
+                                            f"{e.token} may not repeat within a row")
+            u = c + up_shift
+            if u < len(above):
+                ur = above[u]
+                if r < ur:
+                    return ValidationReport(False, labels["col_weak"], (i, j),
+                                            "entries must weakly increase down columns")
+                if r == ur and not _col_stack_ok(kind, e):
+                    return ValidationReport(False, labels["col_repeat"], (i, j),
+                                            f"{e.token} may not repeat within a column")
+            if spso_char and not e.zero and e.k < i:
+                return ValidationReport(False, "T4", (i, j),
+                                        f"{e.token} may not appear below row {e.k}")
+            if qkind and c == 0:
+                if e.zero:
+                    return ValidationReport(False, "Q6", (i, j),
+                                            "0prime may not sit on the main diagonal")
+                if i > 1 and spso_q and rows[i - 2][0].k == e.k:
                     return ValidationReport(
                         False, "Q5", (i, j),
                         f"two letters of group {e.k} on the main diagonal")
+            ranks.append(r)
+        above = ranks
     return ValidationReport(True)
 
 
@@ -383,15 +410,22 @@ def cell_weight(vt: VarTable, kind: str, n: int, e: Entry, i: int, j: int) -> Mu
     return add_a(base, off)
 
 
-def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
-    """Product of the cell weights of a valid tableau."""
+def tableau_factors(t: Tableau, vt: VarTable) -> list[MultiPoly]:
+    """Cell weights of a valid tableau in row-major order (ValueError if
+    t breaks a filling rule)."""
     report = validate_tableau(t)
     if not report:
         raise ValueError(f"invalid tableau: {report.rule} at {report.cell}: "
                          f"{report.message}")
+    kind, n = t.kind, t.n
+    return [cell_weight(vt, kind, n, e, i, j) for (i, j), e in t.cells()]
+
+
+def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
+    """Product of the cell weights of a valid tableau."""
     out = MultiPoly.one(vt)
-    for (i, j), e in t.cells():
-        out = out * cell_weight(vt, t.kind, t.n, e, i, j)
+    for f in tableau_factors(t, vt):
+        out = out * f
     return out
 
 

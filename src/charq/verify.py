@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 
 from .algebra import MultiPoly, vartable_for, xbar, xv, ybar, yv
 from .characters import (CHAR_ROUTES, GROUP_KINDS, h_factorial, h_range,
@@ -21,7 +23,7 @@ from .partitions import enumerate_partitions
 from .qfunctions import (QFUNC_KINDS, f_mpqn, q_determinantal, q_md,
                          q_tableaux, qtilde, shift_a_down, verify_tokuyama)
 from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, enumerate_tableaux,
-                       tableau_weight)
+                       tableau_factors)
 
 SUITES = ("routes", "jt-vs-def", "q-routes", "tokuyama", "h-diff", "f-diff", "lgv")
 
@@ -397,7 +399,13 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     reproduce tableau weights, images are pairwise vertex-disjoint, and
     the map is injective.  ``shapes`` may pin an explicit list of
     (kind, parts, n); otherwise the grid runs over partitions with parts
-    <= lambda_max (optionally |shape| <= size_max)."""
+    <= lambda_max (optionally |shape| <= size_max).
+
+    Both weights are products of linear factors, so the weight check
+    first compares the sorted multiset of non-unit edge weights with that
+    of the cell weights; equal multisets have equal products.  Only when
+    the multisets differ are both products expanded, and then the
+    products decide, so the verdict is exactly product equality."""
     kinds = ALL_KINDS if kind is None else (kind,)
     for k in kinds:
         if k not in ALL_KINDS:
@@ -422,21 +430,25 @@ def _lgv_case(kind, parts, n):
 
     def thunk():
         vt = vartable_for(n, parts[0] if parts else 0)
+        unit = ((vt.zero, 1),)
         seen = set()
         count = 0
         for t in enumerate_tableaux(kind, parts, n):
             count += 1
             pt = tableau_to_paths(t, vt)
-            if parts and pt.weight() != tableau_weight(t, vt):
-                return False, {"count": count, "reason": "weight mismatch"}
+            ws = [[_term_key(e.weight) for e in p.edges] for p in pt.paths]
+            if parts:
+                factors = tableau_factors(t, vt)
+                edge_ms = sorted(w for pw in ws for w in pw if w != unit)
+                cell_ms = sorted(w for w in map(_term_key, factors) if w != unit)
+                if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
+                    return False, {"count": count, "reason": "weight mismatch"}
             if not pt.non_intersecting():
                 return False, {"count": count, "reason": "paths intersect"}
             # curved variants can share geometry (x_k vs y_k starts), so
             # the identity of a tuple includes its edge weights
-            sig = tuple(tuple((e.frm, e.to, e.kind,
-                               tuple(sorted(e.weight.terms.items())))
-                              for e in p.edges)
-                        for p in pt.paths)
+            sig = tuple(tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, pw))
+                        for p, pw in zip(pt.paths, ws))
             if sig in seen:
                 return False, {"count": count, "reason": "not injective"}
             seen.add(sig)
@@ -449,6 +461,11 @@ def _lgv_case(kind, parts, n):
         return True, {"count": count}
 
     return inputs, thunk
+
+
+def _term_key(p: MultiPoly) -> tuple:
+    """Hashable, order-free key of a polynomial's terms."""
+    return tuple(sorted(p.terms.items()))
 
 
 def run_suite(name: str, **kw) -> SuiteReport:

@@ -12,7 +12,7 @@ from charq import cli
 from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
                            NonInvertibleBinding, TruncatedSeries,
-                           VarTableMismatch, av, coeff_of_t, determinant,
+                           VarTableMismatch, add_a, av, coeff_of_t, determinant,
                            exact_div, factorial_power, monomial,
                            permute_variables, poly_arith, poly_from_json,
                            poly_to_json, poly_to_obj, poly_to_text,
@@ -77,6 +77,34 @@ def test_vartable_mismatch_raises():
     other = vartable(2, 4)
     with pytest.raises(VarTableMismatch):
         xv(VT, 1) + xv(other, 1)
+
+
+def test_add_a_ignores_nonpositive_index():
+    base = xv(VT, 1) + av(VT, 2)
+    for k in (0, -1, -5):
+        assert add_a(base, k) is base
+        assert add_a(base, k, sign=-1) is base
+
+
+def test_add_a_cancelling_term_leaves_no_key():
+    for k in range(1, VT.a_max + 1):
+        got = add_a(av(VT, k), k, sign=-1)
+        assert got.is_zero() and got.terms == {}
+    got = add_a(xv(VT, 2) + av(VT, 3), 3, sign=-1)
+    assert got == xv(VT, 2) and len(got.terms) == 1
+
+
+def test_add_a_beyond_retained_range_raises():
+    with pytest.raises(AIndexOutOfRange):
+        add_a(xv(VT, 1), VT.a_max + 1)
+
+
+@given(polys(), st.integers(min_value=1, max_value=VT.a_max),
+       st.sampled_from((1, -1)))
+def test_add_a_matches_general_add(base, k, sign):
+    before = dict(base.terms)
+    assert add_a(base, k, sign) == base + sign * av(VT, k)
+    assert base.terms == before
 
 
 @settings(max_examples=60)

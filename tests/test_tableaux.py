@@ -1,19 +1,21 @@
 """Partitions, the six tableau families, weights, and the fused sum."""
 
 import json
+from itertools import product
 
 import pytest
 
 from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
-from charq.tableaux import (ALL_KINDS, ShapeKindMismatch,
-                            Tableau, alphabet, cell_weight, count_tableaux,
-                            entry_from_token, enumerate_tableaux,
+from charq.tableaux import (ALL_KINDS, Q_KINDS, ShapeKindMismatch,
+                            Tableau, alphabet, cell_weight, check_shape,
+                            count_tableaux, entry_from_token, enumerate_tableaux,
                             tableau_from_obj, tableau_weight,
                             tableau_weight_sum, validate_tableau)
 
-from oracles import brute_force_tableaux, dim_sp, partitions_brute
+from oracles import (brute_force_tableaux, dim_sp, partitions_brute,
+                     satisfies_rules)
 
 
 # -- partitions -----------------------------------------------------------
@@ -128,6 +130,26 @@ def test_shape_kind_mismatch():
         next(enumerate_tableaux("glChar", (1, 1), 1))
 
 
+def test_check_shape_never_caches_a_failure():
+    for _ in range(3):
+        with pytest.raises(ShapeKindMismatch):
+            check_shape("glQ", (2, 2), 3)
+        assert check_shape("glChar", (2, 2), 3) == (2, 2)
+        with pytest.raises(ShapeKindMismatch):
+            check_shape("glChar", (1, 1), 1)
+        assert check_shape("glChar", (1, 1), 2) == (1, 1)
+
+
+def test_check_shape_accepts_every_shape_form():
+    for _ in range(2):
+        assert check_shape("glChar", (2, 1), 2) == (2, 1)
+        assert check_shape("glChar", [2, 1], 2) == (2, 1)
+        assert check_shape("glChar", Partition((2, 1), 2), 2) == (2, 1)
+        assert check_shape("glQ", StrictPartition((2, 1), 2), 2) == (2, 1)
+        assert check_shape("glChar", (2, 1, 0, 0), 2) == (2, 1)
+        assert check_shape("soQ", (3, 0), 1) == (3,)
+
+
 # -- validation negatives --------------------------------------------------------
 
 
@@ -186,6 +208,35 @@ def test_q_rule_violations():
 def test_row_decrease_is_flagged():
     rep = validate_tableau(_tab("glChar", 2, [("2", "1")]))
     assert not rep and rep.rule == "T1"
+
+
+def _fillings(kind, n, shape):
+    alpha = alphabet(kind, n)
+    for combo in product(alpha, repeat=sum(shape)):
+        rows, pos = [], 0
+        for length in shape:
+            rows.append(tuple(combo[pos:pos + length]))
+            pos += length
+        yield tuple(rows)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_validate_matches_oracle_on_every_filling(kind):
+    # valid or not, every filling of every shape with <= 3 cells, n <= 2
+    checked = rejected = 0
+    for n in (1, 2):
+        for lam in enumerate_partitions(3, n, strict=kind in Q_KINDS):
+            if lam.size > 3:
+                continue
+            for rows in _fillings(kind, n, lam.parts):
+                want = satisfies_rules(kind, n, lam.parts,
+                                       [[e.token for e in row] for row in rows])
+                got = validate_tableau(Tableau(kind, n, lam.parts, rows))
+                assert bool(got) == want, (n, rows, got)
+                assert (got.rule is None) == want
+                checked += 1
+                rejected += not want
+    assert 0 < rejected < checked
 
 
 # -- weights ------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import pytest
 
+from charq import verify
+from charq.algebra import xbar, xv
+from charq.lattice import PathTuple
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
                           suite_routes)
 
@@ -40,3 +43,36 @@ def test_lgv_pinned_shapes():
     rep = suite_lgv(shapes=[("spChar", (1, 1), 2), ("glQ", (2, 1), 2)])
     assert rep.ok and len(rep.cases) == 2
     assert rep.cases[0].detail["count"] == 5
+
+
+def _patch_factors(monkeypatch, change):
+    """Make suite_lgv see the first cell factor of every tableau rewritten
+    by ``change`` (a function from one factor to a list of factors)."""
+    real = verify.tableau_factors
+
+    def patched(t, vt):
+        first, *rest = real(t, vt)
+        return change(first, vt) + rest
+
+    monkeypatch.setattr(verify, "tableau_factors", patched)
+
+
+def test_lgv_reports_a_corrupted_factor(monkeypatch):
+    _patch_factors(monkeypatch, lambda f, vt: [f + 1])
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
+    assert not rep.ok
+    assert rep.cases[0].detail == {"count": 1, "reason": "weight mismatch"}
+
+
+def test_lgv_split_factor_passes_through_exact_fallback(monkeypatch):
+    # f -> (f * x1, x1^-1): a different multiset with the same product.
+    # No first cell of these shapes weighs x1^-1, so f * x1 is never the
+    # unit that the multiset comparison leaves out.
+    _patch_factors(monkeypatch, lambda f, vt: [f * xv(vt, 1), xbar(vt, 1)])
+    expanded = []
+    real_weight = PathTuple.weight
+    monkeypatch.setattr(PathTuple, "weight",
+                        lambda self: expanded.append(1) or real_weight(self))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 3), ("glQ", (2, 1), 2)])
+    assert rep.ok and [c.detail["count"] for c in rep.cases] == [8, 8]
+    assert len(expanded) == 8 + 8
