@@ -10,11 +10,10 @@ exact polynomial identities.
 from .algebra import (AIndexOutOfRange, AlgebraError, ExponentOverflow,
                       MultiPoly, NonExactDivision, NonInvertibleBinding,
                       TruncatedSeries, VarTable, VarTableMismatch, av,
-                      coeff_of_t, determinant, exact_div, factorial_power,
-                      monomial, permute_variables, poly_arith, poly_from_json,
-                      poly_from_obj, poly_to_json, poly_to_obj, poly_to_text,
-                      series_inverse_linear, specialize, vartable,
-                      vartable_for, xbar, xv, ybar, yv)
+                      determinant, exact_div, factorial_power, monomial,
+                      permute_variables, poly_from_json, poly_from_obj,
+                      poly_to_json, poly_to_obj, poly_to_text, specialize,
+                      vartable, vartable_for, xbar, xv, ybar, yv)
 from .characters import (GROUP_KINDS, char_combinatorial, char_definitional,
                          char_flagged_jt, char_hdet, character, h_factorial,
                          h_one_var, h_range, one_part_expansion)

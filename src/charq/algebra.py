@@ -369,17 +369,6 @@ class MultiPoly:
         return result
 
 
-def poly_arith(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Dispatch add/sub/mul; the operator forms are equivalent."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def monomial(vt: VarTable, coeff, exps: dict[str, int] | None = None) -> MultiPoly:
     """Build a single-term polynomial from a name->exponent map."""
     if isinstance(coeff, Fraction) and coeff.denominator == 1:
@@ -754,12 +743,6 @@ class TruncatedSeries:
             return MultiPoly.zero(self.vt)
         return self.coeffs[m]
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.vt != other.vt or self.order != other.order:
-            raise VarTableMismatch("series mismatch in add")
-        return TruncatedSeries(self.vt, self.order,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.vt != other.vt or self.order != other.order:
             raise VarTableMismatch("series mismatch in mul")
@@ -790,17 +773,24 @@ class TruncatedSeries:
         return TruncatedSeries(self.vt, self.order, out)
 
 
-def series_inverse_linear(vt: VarTable, v: MultiPoly, sign: int, order: int) -> TruncatedSeries:
-    """Expansion of 1/(1-tv) for sign=-1 (all powers of v up to t^order),
-    or the two-term series 1+tv for sign=+1."""
-    if sign == -1:
-        return TruncatedSeries.one(vt, order).mul_geometric(v)
-    if sign == +1:
-        return TruncatedSeries.one(vt, order).mul_linear(v)
-    raise ValueError("sign must be +1 or -1")
-
-
-def coeff_of_t(s: TruncatedSeries, m: int) -> MultiPoly:
+def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly:
+    """[t^m] of prod_u 1/(1-t u) * prod_v (1+t v) * prod_{k=1..a_limit} (1+t a_k)
+    over the geometric factors u and the linear factors v, multiplied in
+    that order.  Zero for m < 0; a_limit <= 0 gives no parameter factor.
+    This is the one generating function behind the h, q, f and q-tilde
+    families; each family differs only in its factor lists and a_limit."""
+    if m < 0:
+        return MultiPoly.zero(vt)
+    if a_limit > vt.a_max:
+        raise AIndexOutOfRange(
+            f"needs a_1..a_{a_limit}, table retains a_max={vt.a_max}")
+    s = TruncatedSeries.one(vt, m)
+    for u in geometric:
+        s = s.mul_geometric(u)
+    for v in linear:
+        s = s.mul_linear(v)
+    for k in range(1, a_limit + 1):
+        s = s.mul_linear(av(vt, k))
     return s.coeff(m)
 
 

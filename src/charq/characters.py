@@ -19,17 +19,17 @@ over the flagged alphabet x_d..x_n; ``one_part_expansion`` is the closed
 multi-index sum for one-row shapes.
 
 Everything here is a pure function of immutable values; the h caches are
-keyed by (kind, m, flag, table) and concurrent fills of the same key are
-idempotent, so results are deterministic under any scheduling.
+keyed by (kind, m, flag or variable, table), so a cached value is the
+value a fresh computation would give.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (AIndexOutOfRange, MultiPoly, TruncatedSeries, VarTable,
-                      add_a, av, coeff_of_t, determinant, exact_div,
-                      factorial_power, xbar, xv)
+from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, add_a, av,
+                      determinant, exact_div, factorial_power, gf_coeff,
+                      xbar, xv)
 from .partitions import as_parts
 from .tableaux import tableau_weight_sum
 
@@ -70,19 +70,10 @@ def _h_series_coeff(kind: str, m: int, xs: tuple[int, ...], vt: VarTable,
                     a_limit: int) -> MultiPoly:
     """[t^m] of prod_i 1/(1-t x_i) [ * 1/(1-t xbar_i) for sp/so ]
     [ * (1+t) for so ] * prod_{k=1..a_limit} (1+t a_k)."""
-    if a_limit > vt.a_max:
-        raise AIndexOutOfRange(
-            f"needs a_1..a_{a_limit}, table retains a_max={vt.a_max}")
-    s = TruncatedSeries.one(vt, m)
-    for i in xs:
-        s = s.mul_geometric(xv(vt, i))
-        if kind in ("sp", "so"):
-            s = s.mul_geometric(xbar(vt, i))
-    if kind == "so":
-        s = s.mul_linear(MultiPoly.one(vt))
-    for k in range(1, a_limit + 1):
-        s = s.mul_linear(av(vt, k))
-    return coeff_of_t(s, m)
+    letters = (xv,) if kind == "gl" else (xv, xbar)
+    geometric = [x(vt, i) for i in xs for x in letters]
+    linear = [MultiPoly.one(vt)] if kind == "so" else []
+    return gf_coeff(m, geometric, linear, a_limit, vt)
 
 
 @lru_cache(maxsize=None)

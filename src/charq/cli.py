@@ -18,6 +18,7 @@ byte-identical across runs for identical invocations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .characters import CHAR_ROUTES, GROUP_KINDS, character
 from .lattice import tableau_to_paths
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
 from .tableaux import ALL_KINDS, check_shape, enumerate_tableaux
-from .verify import SUITES, run_suite
+from .verify import SUITE_TABLE, SUITES, run_suite
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 3
@@ -127,20 +128,38 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
+def _suite_params(name: str):
+    return inspect.signature(SUITE_TABLE[name]).parameters
+
+
 def cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     if args.suite != "all" and args.suite not in SUITES:
         raise SpecError(f"--suite must be one of {', '.join(SUITES)} or 'all'")
+    if args.suite == "all" and args.kind:
+        raise SpecError("--kind needs a single suite; no kind is valid for every suite")
+    if args.n_max < 1:
+        raise SpecError("--n-max must be at least 1")
+    for flag in ("lambda_max", "mu_max", "m_max"):
+        if getattr(args, flag) < 0:
+            raise SpecError(f"--{flag.replace('_', '-')} must be nonnegative")
     kw = {"n_max": args.n_max, "lambda_max": args.lambda_max,
-          "mu_max": args.mu_max, "m_max": args.m_max, "jobs": args.jobs}
+          "mu_max": args.mu_max, "m_max": args.m_max}
     if args.kind:
         kw["kind"] = args.kind
-    if args.lam is not None and args.n is not None and args.kind:
-        if args.suite == "lgv":
-            kw["shapes"] = [(args.kind, _parse_parts(args.lam), args.n)]
+    if args.lam is not None or args.n is not None:
+        # one explicit shape replaces the grid, so it must be complete and
+        # the suite must be able to take it
+        if args.suite == "all" or "shapes" not in _suite_params(args.suite):
+            raise SpecError(f"--n/--lambda apply only to suites that take shapes, "
+                            f"not to --suite {args.suite}")
+        if args.lam is None or args.n is None or not args.kind:
+            raise SpecError("an explicit shape needs all of --kind, --n and --lambda")
+        kw["shapes"] = [(args.kind, _parse_parts(args.lam), args.n)]
     failures = 0
     for name in names:
-        suite_kw = {k: v for k, v in kw.items() if k in _SUITE_PARAMS[name]}
+        params = _suite_params(name)
+        suite_kw = {k: v for k, v in kw.items() if k in params}
         try:
             report = run_suite(name, **suite_kw)
         except ValueError as exc:
@@ -152,25 +171,13 @@ def cmd_verify(args) -> int:
             print(f"suite {name}: passed={report.passed} failed={report.failed}")
             for case in report.cases:
                 status = "ok" if case.equal else "FAIL"
-                print(f"  [{status}] {json.dumps(case.inputs, separators=(',', ':'))}"
-                      f" ({case.ms:.0f} ms)")
+                print(f"  [{status}] {json.dumps(case.inputs, separators=(',', ':'))}")
         if not report.ok:
             bad = report.first_failure()
             print(f"first failing case: "
                   f"{json.dumps(bad.to_obj(), separators=(',', ':'))}",
                   file=sys.stderr)
     return IDENTITY_ERROR if failures else 0
-
-
-_SUITE_PARAMS = {
-    "routes": {"n_max", "lambda_max", "kind", "jobs"},
-    "jt-vs-def": {"n_max", "lambda_max", "kind", "jobs"},
-    "q-routes": {"n_max", "lambda_max", "kind", "jobs"},
-    "tokuyama": {"n_max", "mu_max", "kind", "jobs"},
-    "h-diff": {"n_max", "m_max", "kind", "jobs"},
-    "f-diff": {"n_max", "m_max", "kind", "jobs"},
-    "lgv": {"n_max", "lambda_max", "kind", "jobs", "shapes"},
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=int, default=3)
     p.add_argument("--mu-max", type=int, default=2)
     p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved for randomised suites; current suites are "
-                        "exhaustive and ignore it")
     p.add_argument("--out", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
     return ap

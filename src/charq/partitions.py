@@ -23,16 +23,20 @@ class Partition:
 
     def __init__(self, parts: Sequence[int], n_bound: int):
         parts = _clean_parts(parts)
+        self._check_parts(parts)
+        if n_bound < 1:
+            raise ValueError("n_bound must be positive")
+        if len(parts) > n_bound:
+            raise ValueError(f"partition {parts} longer than bound {n_bound}")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "n_bound", n_bound)
+
+    @staticmethod
+    def _check_parts(parts: tuple[int, ...]) -> None:
         if any(p < 0 for p in parts):
             raise ValueError("parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts {parts} are not weakly decreasing")
-        if n_bound < 1:
-            raise ValueError("n_bound must be positive")
-        if len(parts) > n_bound:
-            raise ValueError(f"partition {parts} longer than bound {n_bound}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n_bound", n_bound)
 
     def __len__(self):
         return len(self.parts)
@@ -49,45 +53,21 @@ class Partition:
         return self.parts[0] if self.parts else 0
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class StrictPartition(Partition):
     """Strictly decreasing positive parts, at most ``n_bound`` of them."""
 
-    parts: tuple[int, ...]
-    n_bound: int
-
-    def __init__(self, parts: Sequence[int], n_bound: int):
-        parts = _clean_parts(parts)
+    @staticmethod
+    def _check_parts(parts: tuple[int, ...]) -> None:
         if any(p <= 0 for p in parts):
             raise ValueError("strict partitions have positive parts")
         if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts {parts} are not strictly decreasing")
-        if n_bound < 1:
-            raise ValueError("n_bound must be positive")
-        if len(parts) > n_bound:
-            raise ValueError(f"partition {parts} longer than bound {n_bound}")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "n_bound", n_bound)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def first(self) -> int:
-        return self.parts[0] if self.parts else 0
 
 
 def as_parts(shape) -> tuple[int, ...]:
     """Accept a (Strict)Partition or a bare part sequence; return the
     cleaned parts tuple."""
-    if isinstance(shape, (Partition, StrictPartition)):
+    if isinstance(shape, Partition):
         return shape.parts
     return _clean_parts(shape)
 

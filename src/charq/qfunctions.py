@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import (AIndexOutOfRange, MultiPoly, TruncatedSeries, VarTable,
-                      av, coeff_of_t, determinant, xbar, xv, ybar, yv)
+from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, av, determinant,
+                      gf_coeff, xbar, xv, ybar, yv)
 from .characters import char_flagged_jt
 from .partitions import as_parts, is_strict
 from .tableaux import tableau_weight_sum
@@ -64,42 +64,18 @@ def qtilde(m: int, us, vs, vt: VarTable) -> MultiPoly:
     k <= 0 are skipped.  The odd-orthogonal families pass the constant 1
     as one of the v entries, which costs a parameter slot like any other
     linear factor."""
-    if m < 0:
-        return MultiPoly.zero(vt)
-    us = list(us)
-    vs = list(vs)
-    limit = m + len(us) - len(vs) - 1
-    if limit > vt.a_max:
-        raise AIndexOutOfRange(
-            f"needs a_1..a_{limit}, table retains a_max={vt.a_max}")
-    s = TruncatedSeries.one(vt, m)
-    for u in us:
-        s = s.mul_geometric(u)
-    for v in vs:
-        s = s.mul_linear(v)
-    for k in range(1, limit + 1):
-        s = s.mul_linear(av(vt, k))
-    return coeff_of_t(s, m)
+    us, vs = list(us), list(vs)
+    return gf_coeff(m, us, vs, m + len(us) - len(vs) - 1, vt)
 
 
 @lru_cache(maxsize=None)
 def _q_md_cached(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
-    n = vt.n
-    s = TruncatedSeries.one(vt, m)
-    for i in range(d, n + 1):
-        s = s.mul_geometric(xv(vt, i))
-        if kind in ("spQ", "soQ"):
-            s = s.mul_geometric(xbar(vt, i))
-    for j in range(d + 1, n + 1):
-        s = s.mul_linear(yv(vt, j))
-        if kind in ("spQ", "soQ"):
-            s = s.mul_linear(ybar(vt, j))
-    limit = m - 1 if kind == "soQ" else m
+    xs, ys = ((xv,), (yv,)) if kind == "glQ" else ((xv, xbar), (yv, ybar))
+    geometric = [x(vt, i) for i in range(d, vt.n + 1) for x in xs]
+    linear = [y(vt, j) for j in range(d + 1, vt.n + 1) for y in ys]
     if kind == "soQ":
-        s = s.mul_linear(MultiPoly.one(vt))
-    for k in range(1, limit + 1):
-        s = s.mul_linear(av(vt, k))
-    return coeff_of_t(s, m)
+        linear.append(MultiPoly.one(vt))
+    return gf_coeff(m, geometric, linear, m - 1 if kind == "soQ" else m, vt)
 
 
 def q_md(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
@@ -129,25 +105,13 @@ def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
     n = vt.n
     if not 1 <= p <= q <= n:
         raise ValueError(f"need 1 <= p <= q <= n, got p={p}, q={q}, n={n}")
-    if m < 0:
-        return MultiPoly.zero(vt)
-    limit = m + q - p - 1 if kind == "soQ" else m + q - p
-    if limit > vt.a_max:
-        raise AIndexOutOfRange(f"needs a_1..a_{limit}, table retains a_max={vt.a_max}")
-    s = TruncatedSeries.one(vt, m)
-    for i in range(p, n + 1):
-        s = s.mul_geometric(xv(vt, i))
-        if kind in ("spQ", "soQ"):
-            s = s.mul_geometric(xbar(vt, i))
-    for j in range(q + 1, n + 1):
-        s = s.mul_linear(yv(vt, j))
-        if kind in ("spQ", "soQ"):
-            s = s.mul_linear(ybar(vt, j))
+    xs, ys = ((xv,), (yv,)) if kind == "glQ" else ((xv, xbar), (yv, ybar))
+    geometric = [x(vt, i) for i in range(p, n + 1) for x in xs]
+    linear = [y(vt, j) for j in range(q + 1, n + 1) for y in ys]
     if kind == "soQ":
-        s = s.mul_linear(MultiPoly.one(vt))
-    for k in range(1, limit + 1):
-        s = s.mul_linear(av(vt, k))
-    return coeff_of_t(s, m)
+        linear.append(MultiPoly.one(vt))
+    limit = m + q - p - 1 if kind == "soQ" else m + q - p
+    return gf_coeff(m, geometric, linear, limit, vt)
 
 
 def shift_a_down(p: MultiPoly, vt: VarTable) -> MultiPoly:

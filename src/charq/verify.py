@@ -1,16 +1,15 @@
 """Identity suites: exhaustive checks over bounded parameter grids.
 
 Each suite enumerates its grid in a fixed order, evaluates every case
-exactly (zero tolerance), and returns a SuiteReport whose case list is
-ordered by case index regardless of how the work was scheduled.  Suites
-never sample at the default bounds; the seed parameter is reserved for
-future randomised variants and is accepted but unused today.
+exactly (zero tolerance), one after another, and returns a SuiteReport
+whose case list is in that order.  Suites never sample, and reports
+carry no timings, so the same call gives the same report byte for byte.
+``SUITE_TABLE`` maps each suite name to its function, in the order
+``--suite all`` runs them.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul
@@ -25,8 +24,6 @@ from .qfunctions import (QFUNC_KINDS, f_mpqn, q_determinantal, q_md,
 from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, enumerate_tableaux,
                        tableau_factors)
 
-SUITES = ("routes", "jt-vs-def", "q-routes", "tokuyama", "h-diff", "f-diff", "lgv")
-
 
 @dataclass
 class CaseResult:
@@ -34,12 +31,10 @@ class CaseResult:
     inputs: dict
     equal: bool
     detail: dict = field(default_factory=dict)
-    ms: float = 0.0
 
     def to_obj(self) -> dict:
         obj = {"case": self.index, "inputs": self.inputs, "equal": self.equal}
         obj.update(self.detail)
-        obj["ms"] = round(self.ms, 1)
         return obj
 
 
@@ -71,24 +66,10 @@ class SuiteReport:
                 "cases": [c.to_obj() for c in self.cases]}
 
 
-def _run_cases(suite: str, cases, jobs: int = 1) -> SuiteReport:
+def _run_cases(suite: str, cases) -> SuiteReport:
     """cases: list of (inputs_dict, thunk) where thunk() -> (equal, detail)."""
-
-    def run_one(item):
-        index, (inputs, thunk) = item
-        t0 = time.perf_counter()
-        equal, detail = thunk()
-        return CaseResult(index, inputs, equal, detail,
-                          (time.perf_counter() - t0) * 1000.0)
-
-    indexed = list(enumerate(cases))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, indexed))
-    else:
-        results = [run_one(item) for item in indexed]
-    results.sort(key=lambda c: c.index)
-    return SuiteReport(suite, results)
+    return SuiteReport(suite, [CaseResult(index, inputs, *thunk())
+                               for index, (inputs, thunk) in enumerate(cases)])
 
 
 def _char_kinds(kind_filter):
@@ -111,19 +92,19 @@ def _q_kinds(kind_filter):
 
 
 def suite_routes(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
-                 jobs: int = 1, methods=("def", "hdet", "jt", "tab")) -> SuiteReport:
+                 methods=("def", "hdet", "jt", "tab")) -> SuiteReport:
     """All requested character routes agree on every (kind, n, shape)."""
     cases = []
     for k in _char_kinds(kind):
         for n in range(1, n_max + 1):
             for lam in enumerate_partitions(lambda_max, n):
                 cases.append(_route_case(k, n, lam.parts, methods))
-    return _run_cases("routes", cases, jobs)
+    return _run_cases("routes", cases)
 
 
-def suite_jt_vs_def(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
-                    jobs: int = 1) -> SuiteReport:
-    report = suite_routes(n_max, lambda_max, kind, jobs, methods=("jt", "def"))
+def suite_jt_vs_def(n_max: int = 2, lambda_max: int = 3,
+                    kind: str | None = None) -> SuiteReport:
+    report = suite_routes(n_max, lambda_max, kind, methods=("jt", "def"))
     return SuiteReport("jt-vs-def", report.cases)
 
 
@@ -144,14 +125,14 @@ def _route_case(kind, n, parts, methods):
 # -- Q-function suites --------------------------------------------------------
 
 
-def suite_q_routes(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
-                   jobs: int = 1) -> SuiteReport:
+def suite_q_routes(n_max: int = 2, lambda_max: int = 3,
+                   kind: str | None = None) -> SuiteReport:
     cases = []
     for k in _q_kinds(kind):
         for n in range(1, n_max + 1):
             for lam in enumerate_partitions(lambda_max, n, strict=True):
                 cases.append(_q_route_case(k, n, lam.parts))
-    return _run_cases("q-routes", cases, jobs)
+    return _run_cases("q-routes", cases)
 
 
 def _q_route_case(kind, n, parts):
@@ -166,8 +147,8 @@ def _q_route_case(kind, n, parts):
     return inputs, thunk
 
 
-def suite_tokuyama(n_max: int = 2, mu_max: int = 2, kind: str | None = None,
-                   jobs: int = 1) -> SuiteReport:
+def suite_tokuyama(n_max: int = 2, mu_max: int = 2,
+                   kind: str | None = None) -> SuiteReport:
     """Tokuyama factorisation over all mu with |mu| <= mu_max."""
     cases = []
     for k in _q_kinds(kind):
@@ -176,7 +157,7 @@ def suite_tokuyama(n_max: int = 2, mu_max: int = 2, kind: str | None = None,
                 if mu.size > mu_max:
                     continue
                 cases.append(_tokuyama_case(k, n, mu.parts))
-    return _run_cases("tokuyama", cases, jobs)
+    return _run_cases("tokuyama", cases)
 
 
 def _tokuyama_case(kind, n, mu):
@@ -194,8 +175,8 @@ def _tokuyama_case(kind, n, mu):
 # -- h-family lemma suite -----------------------------------------------------
 
 
-def suite_h_diff(n_max: int = 2, m_max: int = 4, kind: str | None = None,
-                 jobs: int = 1) -> SuiteReport:
+def suite_h_diff(n_max: int = 2, m_max: int = 4,
+                 kind: str | None = None) -> SuiteReport:
     """One-variable-block difference relations, the last-variable
     recursion, the closed-form denominator determinants, and the one-part
     expansions."""
@@ -211,7 +192,7 @@ def suite_h_diff(n_max: int = 2, m_max: int = 4, kind: str | None = None,
                     cases.append(_h_recursion_case(k, n, m))
                 cases.append(_one_part_case(k, n, m))
             cases.append(_h_denominator_case(k, n))
-    return _run_cases("h-diff", cases, jobs)
+    return _run_cases("h-diff", cases)
 
 
 def _h_diff_case(kind, n, i, j, m):
@@ -288,8 +269,8 @@ def _h_denominator_case(kind, n):
 # -- f / qtilde lemma suite ----------------------------------------------------
 
 
-def suite_f_diff(n_max: int = 2, m_max: int = 4, kind: str | None = None,
-                 jobs: int = 1) -> SuiteReport:
+def suite_f_diff(n_max: int = 2, m_max: int = 4,
+                 kind: str | None = None) -> SuiteReport:
     """f difference relations and reductions, the qtilde recursions, and
     the diagonal-prefactor bridge identities."""
     cases = []
@@ -310,7 +291,7 @@ def suite_f_diff(n_max: int = 2, m_max: int = 4, kind: str | None = None,
             for s in range(0, 2 * n + 1):
                 for m in range(1, min(m_max, 3) + 1):
                     cases.append(_qtilde_recursion_case(n, r, s, m))
-    return _run_cases("f-diff", cases, jobs)
+    return _run_cases("f-diff", cases)
 
 
 def _f_diff_case(kind, n, p, q, m):
@@ -394,7 +375,7 @@ def _qtilde_recursion_case(n, r, s, m):
 
 
 def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
-              shapes=None, jobs: int = 1, size_max: int | None = None) -> SuiteReport:
+              shapes=None, size_max: int | None = None) -> SuiteReport:
     """Per-family checks of the tableau-to-path map: edge-weight products
     reproduce tableau weights, images are pairwise vertex-disjoint, and
     the map is injective.  ``shapes`` may pin an explicit list of
@@ -422,7 +403,7 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
                     if size_max is not None and lam.size > size_max:
                         continue
                     cases.append(_lgv_case(k, lam.parts, n))
-    return _run_cases("lgv", cases, jobs)
+    return _run_cases("lgv", cases)
 
 
 def _lgv_case(kind, parts, n):
@@ -468,26 +449,24 @@ def _term_key(p: MultiPoly) -> tuple:
     return tuple(sorted(p.terms.items()))
 
 
+SUITE_TABLE = {
+    "routes": suite_routes,
+    "jt-vs-def": suite_jt_vs_def,
+    "q-routes": suite_q_routes,
+    "tokuyama": suite_tokuyama,
+    "h-diff": suite_h_diff,
+    "f-diff": suite_f_diff,
+    "lgv": suite_lgv,
+}
+
+SUITES = tuple(SUITE_TABLE)
+
+
 def run_suite(name: str, **kw) -> SuiteReport:
-    if name == "routes":
-        return suite_routes(kw.get("n_max", 2), kw.get("lambda_max", 3),
-                            kw.get("kind"), kw.get("jobs", 1))
-    if name == "jt-vs-def":
-        return suite_jt_vs_def(kw.get("n_max", 2), kw.get("lambda_max", 3),
-                               kw.get("kind"), kw.get("jobs", 1))
-    if name == "q-routes":
-        return suite_q_routes(kw.get("n_max", 2), kw.get("lambda_max", 3),
-                              kw.get("kind"), kw.get("jobs", 1))
-    if name == "tokuyama":
-        return suite_tokuyama(kw.get("n_max", 2), kw.get("mu_max", 2),
-                              kw.get("kind"), kw.get("jobs", 1))
-    if name == "h-diff":
-        return suite_h_diff(kw.get("n_max", 2), kw.get("m_max", 4),
-                            kw.get("kind"), kw.get("jobs", 1))
-    if name == "f-diff":
-        return suite_f_diff(kw.get("n_max", 2), kw.get("m_max", 4),
-                            kw.get("kind"), kw.get("jobs", 1))
-    if name == "lgv":
-        return suite_lgv(kw.get("n_max", 2), kw.get("lambda_max", 3),
-                         kw.get("kind"), kw.get("shapes"), kw.get("jobs", 1))
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    """Run the named suite with the keyword arguments of its function."""
+    try:
+        suite = SUITE_TABLE[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {SUITES} or 'all'") from None
+    return suite(**kw)

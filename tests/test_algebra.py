@@ -12,11 +12,10 @@ from charq import cli
 from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
                            NonInvertibleBinding, TruncatedSeries,
-                           VarTableMismatch, add_a, av, coeff_of_t, determinant,
+                           VarTableMismatch, add_a, av, determinant,
                            exact_div, factorial_power, monomial,
-                           permute_variables, poly_arith, poly_from_json,
-                           poly_to_json, poly_to_obj, poly_to_text,
-                           series_inverse_linear, sorted_terms, specialize,
+                           permute_variables, poly_from_json, poly_to_json,
+                           poly_to_obj, poly_to_text, sorted_terms, specialize,
                            vartable, vartable_for, xbar, xv, yv)
 
 from oracles import perm_determinant
@@ -57,11 +56,11 @@ def polys(draw, max_terms=4, laurent=True):
 
 def test_add_inverse_trivial():
     assert (xv(VT, 1) + (-xv(VT, 1))).is_zero()
-    assert poly_arith("add", xv(VT, 1), -xv(VT, 1)).is_zero()
+    assert (xv(VT, 1) - xv(VT, 1)).is_zero()
 
 
 def test_difference_of_squares_trivial():
-    lhs = poly_arith("mul", xv(VT, 1) - xv(VT, 2), xv(VT, 1) + xv(VT, 2))
+    lhs = (xv(VT, 1) - xv(VT, 2)) * (xv(VT, 1) + xv(VT, 2))
     assert lhs == _x(1, 2) - _x(2, 2)
 
 
@@ -253,14 +252,14 @@ def test_factorial_power_index_guard():
 
 
 def test_series_geometric_expansion():
-    s = series_inverse_linear(VT, xv(VT, 1), -1, 2)
+    s = TruncatedSeries.one(VT, 2).mul_geometric(xv(VT, 1))
     assert s.coeff(0) == MultiPoly.one(VT)
     assert s.coeff(1) == xv(VT, 1)
     assert s.coeff(2) == _x(1, 2)
 
 
 def test_series_linear_two_terms():
-    s = series_inverse_linear(VT, yv(VT, 1), +1, 3)
+    s = TruncatedSeries.one(VT, 3).mul_linear(yv(VT, 1))
     assert s.coeff(0) == MultiPoly.one(VT)
     assert s.coeff(1) == yv(VT, 1)
     assert s.coeff(2).is_zero() and s.coeff(3).is_zero()
@@ -269,7 +268,7 @@ def test_series_linear_two_terms():
 def test_series_defining_property():
     # (1 - t v) * expansion of its inverse = 1 up to the truncation order
     v = xv(VT, 1)
-    geo = series_inverse_linear(VT, v, -1, 5)
+    geo = TruncatedSeries.one(VT, 5).mul_geometric(v)
     lin = TruncatedSeries.one(VT, 5).mul_linear(-v)
     prod = geo * lin
     assert prod.coeff(0) == MultiPoly.one(VT)
@@ -278,11 +277,11 @@ def test_series_defining_property():
 
 
 def test_coeff_of_t_examples():
-    geo = series_inverse_linear(VT, xv(VT, 1), -1, 3)
-    assert coeff_of_t(geo, 0) == MultiPoly.one(VT)
-    assert coeff_of_t(geo, 2) == _x(1, 2)
-    assert coeff_of_t(geo, -1).is_zero()
-    assert coeff_of_t(geo, 99).is_zero()
+    geo = TruncatedSeries.one(VT, 3).mul_geometric(xv(VT, 1))
+    assert geo.coeff(0) == MultiPoly.one(VT)
+    assert geo.coeff(2) == _x(1, 2)
+    assert geo.coeff(-1).is_zero()
+    assert geo.coeff(99).is_zero()
 
 
 def test_coeff_of_t_three_factor_product():
@@ -293,7 +292,7 @@ def test_coeff_of_t_three_factor_product():
     s = s.mul_geometric(xbar(VT, 1))
     s = s.mul_linear(av(VT, 1))
     want = xv(VT, 1) + xbar(VT, 1) + MultiPoly.one(VT) + av(VT, 1)
-    assert coeff_of_t(s, 1) == want
+    assert s.coeff(1) == want
 
 
 @settings(max_examples=25)

@@ -140,15 +140,6 @@ def test_verify_all(capsys):
                      "h-diff", "f-diff", "lgv"]
 
 
-def test_verify_jobs_flag_keeps_order(capsys):
-    base = ("verify", "--suite", "routes", "--n-max", "2", "--lambda-max", "2")
-    _, seq, _ = run(capsys, *base)
-    _, par, _ = run(capsys, *base, "--jobs", "4")
-    strip = lambda text: [{k: v for k, v in c.items() if k != "ms"}
-                          for c in json.loads(text)["cases"]]
-    assert strip(seq) == strip(par)
-
-
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "char", "--kind", "nope", "--n", "1",
                "--lambda", "1")[0] == 2
@@ -161,6 +152,35 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify", "--suite", "zzz")[0] == 2
     assert run(capsys, "qfun", "--kind", "glQ", "--n", "1",
                "--lambda", "2,2")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # an explicit shape the suite would ignore, or an incomplete one
+    ("--suite", "routes", "--kind", "gl", "--n", "2", "--lambda", "2,1"),
+    ("--suite", "lgv", "--lambda", "9"),
+    ("--suite", "lgv", "--kind", "glChar", "--n", "2"),
+    ("--suite", "all", "--n", "2", "--lambda", "1"),
+    # no kind is valid for every suite
+    ("--suite", "all", "--kind", "gl"),
+    # grids that would pass vacuously
+    ("--suite", "routes", "--n-max", "0"),
+    ("--suite", "routes", "--n-max", "-3"),
+    ("--suite", "routes", "--lambda-max", "-1"),
+    ("--suite", "all", "--mu-max", "-1"),
+    ("--suite", "h-diff", "--m-max", "-1"),
+])
+def test_verify_rejects_ignored_or_vacuous_arguments(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_verify_output_byte_identical_across_runs(capsys):
+    argv = ("verify", "--suite", "routes", "--n-max", "2", "--lambda-max", "2")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv)[1] == first
+    assert '"ms"' not in first
 
 
 def test_argparse_usage_exit_2():

@@ -99,7 +99,7 @@ def _so_printed_q(m, d, vt):
     """The odd-orthogonal row function with parameter product running to
     a_m; shifting its parameters down once yields the tableau-consistent
     form, which is what q_md returns."""
-    from charq.algebra import TruncatedSeries, coeff_of_t
+    from charq.algebra import TruncatedSeries
     s = TruncatedSeries.one(vt, m)
     for i in range(d, vt.n + 1):
         s = s.mul_geometric(xv(vt, i)).mul_geometric(xbar(vt, i))
@@ -108,7 +108,7 @@ def _so_printed_q(m, d, vt):
     s = s.mul_linear(MultiPoly.one(vt))
     for k in range(1, m + 1):
         s = s.mul_linear(av(vt, k))
-    return coeff_of_t(s, m)
+    return s.coeff(m)
 
 
 def test_f_examples():

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from charq import tableaux
 from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
@@ -355,12 +356,19 @@ def test_tableau_weight_rejects_invalid():
 
 
 @pytest.mark.parametrize("kind,shape,n", SMALL_GRID + [
-    ("glChar", (), 2), ("soQ", (3, 1), 2), ("spChar", (2, 2, 1), 3)])
-def test_weight_sum_matches_per_tableau_sum(kind, shape, n):
+    ("glChar", (), 2), ("soQ", (3, 1), 2), ("spChar", (2, 2, 1), 3),
+    # multi-row shapes at n = 3; for spQ/soQ the thresholds also carry
+    # the diagonal dimension
+    ("spQ", (3, 2, 1), 3), ("soQ", (3, 2), 3), ("soChar", (2, 2, 2), 3),
+    ("glQ", (3, 1), 3)])
+def test_weight_sum_matches_per_tableau_sum(kind, shape, n, monkeypatch):
     vt = vartable_for(n, shape[0] if shape else 0)
     naive = MultiPoly.zero(vt)
     for t in enumerate_tableaux(kind, shape, n):
         naive = naive + tableau_weight(t, vt)
+    assert tableau_weight_sum(kind, shape, n, vt) == naive
+    # a cap of 0 sends every row through the sparse dominated_sum fallback
+    monkeypatch.setattr(tableaux, "_DENSE_TABLE_CAP", 0)
     assert tableau_weight_sum(kind, shape, n, vt) == naive
 
 

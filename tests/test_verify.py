@@ -32,13 +32,6 @@ def test_suite_kind_filter():
         suite_routes(kind="zz")
 
 
-def test_jobs_produce_identical_report():
-    seq = suite_routes(n_max=2, lambda_max=2)
-    par = suite_routes(n_max=2, lambda_max=2, jobs=4)
-    assert [c.inputs for c in seq.cases] == [c.inputs for c in par.cases]
-    assert [c.equal for c in seq.cases] == [c.equal for c in par.cases]
-
-
 def test_lgv_pinned_shapes():
     rep = suite_lgv(shapes=[("spChar", (1, 1), 2), ("glQ", (2, 1), 2)])
     assert rep.ok and len(rep.cases) == 2
