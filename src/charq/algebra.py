@@ -172,6 +172,16 @@ def vartable_for(n: int, lambda1: int) -> VarTable:
     return vartable(n, lambda1 + 2 * n)
 
 
+def check_a_range(vt: VarTable, lambda1: int) -> None:
+    """AIndexOutOfRange unless vt retains what vartable_for(n, lambda1)
+    would: every a_k up to a_{lambda1+2n}."""
+    need = lambda1 + 2 * vt.n
+    if vt.a_max < need:
+        raise AIndexOutOfRange(
+            f"table retains a_max={vt.a_max} but this computation may index "
+            f"up to a_{need}; build the table with vartable_for(n, lambda_1)")
+
+
 def _cdiv(a, b):
     """Exact coefficient quotient, staying in int when possible."""
     if isinstance(a, int) and isinstance(b, int):

@@ -28,14 +28,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, add_a, av,
-                      determinant, exact_div, factorial_power, gf_coeff,
-                      xbar, xv)
-from .partitions import as_parts
-from .tableaux import tableau_weight_sum
+                      check_a_range, determinant, exact_div, factorial_power,
+                      gf_coeff, xbar, xv)
+from .tableaux import check_shape, tableau_weight_sum
 
 GROUP_KINDS = ("gl", "sp", "so")
 
-_TABLEAU_KIND = {"gl": "glChar", "sp": "spChar", "so": "soChar"}
+TABLEAU_KIND = {"gl": "glChar", "sp": "spChar", "so": "soChar"}
 
 
 def _check_kind(kind: str):
@@ -44,18 +43,9 @@ def _check_kind(kind: str):
 
 
 def _check_partition(kind: str, lam, vt: VarTable) -> tuple[int, ...]:
-    parts = as_parts(lam)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or \
-            any(p < 0 for p in parts):
-        raise ValueError(f"{parts} is not a partition")
-    if len(parts) > vt.n:
-        raise ValueError(f"partition {parts} longer than rank n={vt.n}")
-    first = parts[0] if parts else 0
-    need = first + 2 * vt.n
-    if vt.a_max < need:
-        raise AIndexOutOfRange(
-            f"table retains a_max={vt.a_max} but this computation may index "
-            f"up to a_{need}; build the table with vartable_for(n, lambda_1)")
+    _check_kind(kind)
+    parts = check_shape(TABLEAU_KIND[kind], lam, vt.n)
+    check_a_range(vt, parts[0] if parts else 0)
     return parts
 
 
@@ -142,7 +132,6 @@ def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Ratio of the two defining determinants; the division is exact
     because the quotient is the character (NonExactDivision would signal
     an implementation fault)."""
-    _check_kind(kind)
     parts = _check_partition(kind, lam, vt)
     n = vt.n
     full = _padded(parts, n)
@@ -157,7 +146,6 @@ def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:
 
 
 def char_hdet(kind: str, lam, vt: VarTable) -> MultiPoly:
-    _check_kind(kind)
     parts = _check_partition(kind, lam, vt)
     n = vt.n
     full = _padded(parts, n)
@@ -173,7 +161,6 @@ def char_hdet(kind: str, lam, vt: VarTable) -> MultiPoly:
 
 def char_flagged_jt(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Division-free flagged determinant |h_{lam_j - j + i}(x^(i)...)|."""
-    _check_kind(kind)
     parts = _check_partition(kind, lam, vt)
     n = vt.n
     full = _padded(parts, n)
@@ -187,9 +174,8 @@ def char_flagged_jt(kind: str, lam, vt: VarTable) -> MultiPoly:
 
 
 def char_combinatorial(kind: str, lam, vt: VarTable) -> MultiPoly:
-    _check_kind(kind)
     parts = _check_partition(kind, lam, vt)
-    return tableau_weight_sum(_TABLEAU_KIND[kind], parts, vt.n, vt)
+    return tableau_weight_sum(TABLEAU_KIND[kind], parts, vt.n, vt)
 
 
 CHAR_ROUTES = {

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import MultiPoly, VarTable, add_a, xbar, xv, ybar, yv
+from .algebra import (MultiPoly, VarTable, add_a, poly_to_obj, xbar, xv, ybar,
+                      yv)
 from .tableaux import CHAR_KINDS, Entry, Tableau, validate_tableau
 
 
@@ -39,7 +40,6 @@ class Edge:
     weight: MultiPoly
 
     def to_obj(self) -> dict:
-        from .algebra import poly_to_obj
         return {"from": [_halve(self.frm[0]), self.frm[1]],
                 "to": [_halve(self.to[0]), self.to[1]],
                 "type": self.kind,
@@ -103,19 +103,29 @@ class PathTuple:
         return True
 
 
-def _char_level(kind: str, e: Entry) -> int:
-    """Lattice level carrying horizontal steps for this letter."""
-    if kind == "glChar":
-        return e.k
-    return 2 * e.k - (0 if e.barred else 1)
-
-
-def _q_level(e: Entry, kind: str, n: int) -> int:
-    if kind == "glQ":
+def _level(kind: str, e: Entry, n: int) -> int:
+    """Lattice level carrying the step that places this letter."""
+    if kind in ("glChar", "glQ"):
         return e.k
     if e.zero:
         return 2 * n + 1
     return 2 * e.k - (0 if e.barred else 1)
+
+
+def _n_levels(kind: str, n: int) -> int:
+    """Bottom level of the kind's lattice (one extra for the so zero)."""
+    if kind in ("glChar", "glQ"):
+        return n
+    return 2 * n if kind in ("spChar", "spQ") else 2 * n + 1
+
+
+def _drop(edges: list, level: int, col: int, to: int, one: MultiPoly) -> None:
+    """Append unit vertical steps down column ``col`` from ``level`` to
+    ``to`` (none if the path is already there).  Levels never decrease
+    along a row of a valid tableau, so after each letter's step the path
+    sits on that letter's level."""
+    for lv in range(level, to):
+        edges.append(Edge((2 * lv, col), (2 * (lv + 1), col), "V", one))
 
 
 def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
@@ -135,12 +145,7 @@ def _char_paths(t: Tableau, vt: VarTable) -> PathTuple:
     odd-orthogonal 0 letter becomes a single final diagonal step."""
     kind, n = t.kind, t.n
     one = MultiPoly.one(vt)
-    if kind == "glChar":
-        n_levels = n
-    elif kind == "spChar":
-        n_levels = 2 * n
-    else:
-        n_levels = 2 * n + 1
+    n_levels = _n_levels(kind, n)
     paths = []
     for i in range(1, n + 1):
         row = t.rows[i - 1] if i <= len(t.rows) else ()
@@ -149,25 +154,16 @@ def _char_paths(t: Tableau, vt: VarTable) -> PathTuple:
         start = (2 * start_level, col)
         cur_level, cur_col = start_level, col
         edges: list[Edge] = []
-
-        def drop_to(level: int):
-            nonlocal cur_level
-            while cur_level < level:
-                edges.append(Edge((2 * cur_level, cur_col),
-                                  (2 * (cur_level + 1), cur_col), "V", one))
-                cur_level += 1
-
         for j, e in enumerate(row, start=1):
             target_col = n - i + 1 + j
+            lv = _level(kind, e, n)
             if e.zero:
-                drop_to(2 * n)
+                _drop(edges, cur_level, cur_col, 2 * n, one)
                 w = add_a(one, target_col, sign=-1)
                 edges.append(Edge((2 * 2 * n, cur_col),
                                   (2 * (2 * n + 1), target_col), "D", w))
-                cur_level = 2 * n + 1
             else:
-                lv = _char_level(kind, e)
-                drop_to(lv)
+                _drop(edges, cur_level, cur_col, lv, one)
                 if kind == "glChar":
                     w = add_a(xv(vt, e.k), e.k + target_col - n - 1)
                 elif kind == "spChar":
@@ -177,8 +173,8 @@ def _char_paths(t: Tableau, vt: VarTable) -> PathTuple:
                     base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
                     w = add_a(base, lv + target_col - 2 * n)
                 edges.append(Edge((2 * lv, cur_col), (2 * lv, target_col), "H", w))
-            cur_col = target_col
-        drop_to(n_levels)
+            cur_level, cur_col = lv, target_col
+        _drop(edges, cur_level, cur_col, n_levels, one)
         paths.append(Path(start, (2 * n_levels, cur_col), tuple(edges)))
     return PathTuple(kind, n, t.shape, tuple(paths))
 
@@ -191,59 +187,42 @@ def _q_paths(t: Tableau, vt: VarTable) -> PathTuple:
     the final diagonal step to the extra bottom level."""
     kind, n = t.kind, t.n
     one = MultiPoly.one(vt)
-    if kind == "glQ":
-        n_levels = n
-    elif kind == "spQ":
-        n_levels = 2 * n
-    else:
-        n_levels = 2 * n + 1
+    n_levels = _n_levels(kind, n)
     paths = []
-    for i in range(1, len(t.rows) + 1):
-        row = t.rows[i - 1]
+    for row in t.rows:
         head = row[0]
         d = head.k
         if kind == "glQ":
             start = (2 * d, 0)
-            head_level = d
         else:
             start = (2 * (2 * d) - 1, 0)   # level 2d - 1/2, doubled
-            head_level = _q_level(head, kind, n)
+        head_level = _level(kind, head, n)
         if head.primed:
             w = ybar(vt, head.k) if head.barred else yv(vt, head.k)
         else:
             w = xbar(vt, head.k) if head.barred else xv(vt, head.k)
         edges = [Edge(start, (2 * head_level, 1), "C", w)]
         cur_level, cur_col = head_level, 1
-
-        def drop_to(level: int):
-            nonlocal cur_level
-            while cur_level < level:
-                edges.append(Edge((2 * cur_level, cur_col),
-                                  (2 * (cur_level + 1), cur_col), "V", one))
-                cur_level += 1
-
         for c, e in enumerate(row[1:], start=1):
             off = c                      # = j - i for cell (i, i+c)
             target_col = c + 1
-            lv = _q_level(e, kind, n)
+            lv = _level(kind, e, n)
             if e.zero:
-                drop_to(2 * n)
+                _drop(edges, cur_level, cur_col, 2 * n, one)
                 w = add_a(one, off, sign=-1)
                 edges.append(Edge((2 * 2 * n, cur_col),
                                   (2 * (2 * n + 1), target_col), "D", w))
-                cur_level = 2 * n + 1
             elif e.primed:
-                drop_to(lv - 1)
+                _drop(edges, cur_level, cur_col, lv - 1, one)
                 base = ybar(vt, e.k) if e.barred else yv(vt, e.k)
                 w = add_a(base, off, sign=-1)
                 edges.append(Edge((2 * (lv - 1), cur_col), (2 * lv, target_col), "D", w))
-                cur_level = lv
             else:
-                drop_to(lv)
+                _drop(edges, cur_level, cur_col, lv, one)
                 base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
                 w = add_a(base, off)
                 edges.append(Edge((2 * lv, cur_col), (2 * lv, target_col), "H", w))
-            cur_col = target_col
-        drop_to(n_levels)
+            cur_level, cur_col = lv, target_col
+        _drop(edges, cur_level, cur_col, n_levels, one)
         paths.append(Path(start, (2 * n_levels, cur_col), tuple(edges)))
     return PathTuple(kind, n, t.shape, tuple(paths))

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, av, determinant,
-                      gf_coeff, xbar, xv, ybar, yv)
-from .characters import char_flagged_jt
-from .partitions import as_parts, is_strict
-from .tableaux import tableau_weight_sum
+from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, av,
+                      check_a_range, determinant, gf_coeff, specialize, xbar,
+                      xv, ybar, yv)
+from .characters import TABLEAU_KIND, char_flagged_jt
+from .tableaux import check_shape, tableau_weight_sum
 
 QFUNC_KINDS = ("glQ", "spQ", "soQ")
 
-_CHAR_KIND = {"glQ": "gl", "spQ": "sp", "soQ": "so"}
+CHAR_KIND = {"glQ": "gl", "spQ": "sp", "soQ": "so"}
 
 
 def _check_kind(kind: str):
@@ -30,16 +30,9 @@ def _check_kind(kind: str):
 
 
 def _check_strict(kind: str, lam, vt: VarTable) -> tuple[int, ...]:
-    parts = as_parts(lam)
-    if not is_strict(parts):
-        raise ValueError(f"{parts} is not a strict partition")
-    if len(parts) > vt.n:
-        raise ValueError(f"partition {parts} longer than rank n={vt.n}")
-    first = parts[0] if parts else 0
-    if vt.a_max < first + 2 * vt.n:
-        raise AIndexOutOfRange(
-            f"table retains a_max={vt.a_max} but this computation is sized "
-            f"for a_max >= {first + 2 * vt.n}")
+    _check_kind(kind)
+    parts = check_shape(kind, lam, vt.n)
+    check_a_range(vt, parts[0] if parts else 0)
     return parts
 
 
@@ -49,7 +42,6 @@ def _check_strict(kind: str, lam, vt: VarTable) -> tuple[int, ...]:
 def q_tableaux(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Sum of cell-weight products over all primed shifted tableaux of the
     given strict shape."""
-    _check_kind(kind)
     parts = _check_strict(kind, lam, vt)
     return tableau_weight_sum(kind, parts, vt.n, vt)
 
@@ -116,7 +108,6 @@ def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
 
 def shift_a_down(p: MultiPoly, vt: VarTable) -> MultiPoly:
     """Substitute a_k -> a_{k-1} (with a_0 = 0) throughout."""
-    from .algebra import specialize
     bindings = {"a1": MultiPoly.zero(vt)}
     for k in range(2, vt.a_max + 1):
         bindings[f"a{k}"] = av(vt, k - 1)
@@ -126,17 +117,20 @@ def shift_a_down(p: MultiPoly, vt: VarTable) -> MultiPoly:
 # -- determinantal route ------------------------------------------------------
 
 
-def diagonal_prefactor(kind: str, d: int, vt: VarTable) -> MultiPoly:
-    if kind == "glQ":
-        return xv(vt, d) + yv(vt, d)
-    return xv(vt, d) + yv(vt, d) + xbar(vt, d) + ybar(vt, d)
+def prefactor(kind: str, i: int, j: int, vt: VarTable) -> MultiPoly:
+    """The linear factor x_i + y_j, plus xbar_i + ybar_j for spQ/soQ: the
+    diagonal factor of the determinantal route at i = j, and one factor
+    of the Tokuyama product."""
+    p = xv(vt, i) + yv(vt, j)
+    if kind != "glQ":
+        p = p + xbar(vt, i) + ybar(vt, j)
+    return p
 
 
 def q_determinantal(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Sum over all strictly increasing diagonal supports d of the l x l
     determinant with (i, j) entry prefactor(d_i) * q_{lam_j - 1} at flag
     d_i.  Supports that contribute zero are still enumerated."""
-    _check_kind(kind)
     parts = _check_strict(kind, lam, vt)
     n = vt.n
     ell = len(parts)
@@ -146,7 +140,7 @@ def q_determinantal(kind: str, lam, vt: VarTable) -> MultiPoly:
     for d in combinations(range(1, n + 1), ell):
         rows = []
         for di in d:
-            pref = diagonal_prefactor(kind, di, vt)
+            pref = prefactor(kind, di, di, vt)
             rows.append([pref * q_md(kind, parts[j] - 1, di, vt)
                          for j in range(ell)])
         total = total + determinant(rows, vt=vt)
@@ -197,21 +191,14 @@ def verify_tokuyama(kind: str, mu, vt: VarTable) -> TokuyamaReport:
     absorbs the first parameter of every row."""
     _check_kind(kind)
     n = vt.n
-    mu_parts = as_parts(mu)
-    if len(mu_parts) > n:
-        raise ValueError(f"mu {mu_parts} longer than rank n={n}")
-    if any(mu_parts[i] < mu_parts[i + 1] for i in range(len(mu_parts) - 1)):
-        raise ValueError(f"{mu_parts} is not a partition")
+    mu_parts = check_shape(TABLEAU_KIND[CHAR_KIND[kind]], mu, n)
     padded = mu_parts + (0,) * (n - len(mu_parts))
     lam = tuple(padded[i] + (n - i) for i in range(n))
     lhs = q_tableaux(kind, lam, vt)
-    rhs = char_flagged_jt(_CHAR_KIND[kind], mu_parts, vt)
+    rhs = char_flagged_jt(CHAR_KIND[kind], mu_parts, vt)
     if kind == "soQ":
         rhs = shift_a_down(rhs, vt)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            if kind == "glQ":
-                rhs = rhs * (xv(vt, i) + yv(vt, j))
-            else:
-                rhs = rhs * (xv(vt, i) + yv(vt, j) + xbar(vt, i) + ybar(vt, j))
+            rhs = rhs * prefactor(kind, i, j, vt)
     return TokuyamaReport(kind, mu_parts, n, lhs, rhs, lhs == rhs)

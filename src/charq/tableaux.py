@@ -68,30 +68,14 @@ def alphabet(kind: str, n: int) -> tuple[Entry, ...]:
     got = _ALPHABETS.get(key)
     if got is not None:
         return got
-    letters: list[Entry] = []
-    if kind == "glChar":
-        letters = [Entry(k) for k in range(1, n + 1)]
-    elif kind == "spChar":
-        for k in range(1, n + 1):
-            letters += [Entry(k), Entry(k, barred=True)]
-    elif kind == "soChar":
-        for k in range(1, n + 1):
-            letters += [Entry(k), Entry(k, barred=True)]
-        letters.append(Entry(0, zero=True))
-    elif kind == "glQ":
-        for k in range(1, n + 1):
-            letters += [Entry(k, primed=True), Entry(k)]
-    elif kind == "spQ":
-        for k in range(1, n + 1):
-            letters += [Entry(k, primed=True), Entry(k),
-                        Entry(k, barred=True, primed=True), Entry(k, barred=True)]
-    elif kind == "soQ":
-        for k in range(1, n + 1):
-            letters += [Entry(k, primed=True), Entry(k),
-                        Entry(k, barred=True, primed=True), Entry(k, barred=True)]
-        letters.append(Entry(0, primed=True, zero=True))
-    else:
+    if kind not in ALL_KINDS:
         raise ValueError(f"unknown tableau kind {kind!r}")
+    bars = (False,) if kind.startswith("gl") else (False, True)
+    primes = (True, False) if kind in Q_KINDS else (False,)
+    letters = [Entry(k, barred=b, primed=p)
+               for k in range(1, n + 1) for b in bars for p in primes]
+    if kind.startswith("so"):
+        letters.append(Entry(0, primed=kind in Q_KINDS, zero=True))
     got = tuple(letters)
     _ALPHABETS[key] = got
     return got
@@ -140,7 +124,8 @@ def _col_stack_ok(kind: str, e: Entry) -> bool:
 
 def _row_min_rank(kind: str, i: int) -> int:
     """Smallest admissible rank in row i (letters k and kbar may not appear
-    below row k in the sp/so character families)."""
+    below row k in the sp/so character families; this bound alone keeps
+    them out of generated rows)."""
     if kind in ("spChar", "soChar"):
         return 2 * (i - 1)
     return 0
@@ -306,73 +291,57 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     """All valid fillings, each exactly once, in lexicographic row-major
     scan order of entry ranks.  The empty shape yields one empty tableau."""
     parts = check_shape(kind, shape, n)
-    alpha = alphabet(kind, n)
-    A = len(alpha)
-    qkind = kind in Q_KINDS
-    spso_q = kind in ("spQ", "soQ")
     ell = len(parts)
     if ell == 0:
         yield Tableau(kind, n, parts, ())
         return
+    alpha = alphabet(kind, n)
+    spso_q = kind in ("spQ", "soQ")
+    rows: list[tuple[Entry, ...]] = [()] * ell
 
-    rows: list[list[Entry]] = [[] for _ in range(ell)]
-
-    def fill(i: int, c: int) -> Iterator[Tableau]:
-        # cell (i, j): c is the 0-based offset within row i
-        if c == parts[i - 1]:
+    def stack(i: int, above: tuple[int, ...]) -> Iterator[Tableau]:
+        # every admissible row i under the row of ranks ``above``
+        width = parts[i - 1]
+        group = alpha[above[0]].k if spso_q and above else None
+        for ranks in _row_ranks(kind, alpha, i, width,
+                                _floors(kind, alpha, above, width), group):
+            rows[i - 1] = tuple(alpha[r] for r in ranks)
             if i == ell:
-                yield Tableau(kind, n, parts,
-                              tuple(tuple(row) for row in rows))
-                return
-            yield from fill(i + 1, 0)
-            return
-        j = (i if qkind else 1) + c
-        lo = _row_min_rank(kind, i)
-        left = rows[i - 1][c - 1] if c > 0 else None
-        up = None
-        if i > 1:
-            up_off = j - (i - 1 if qkind else 1)
-            if 0 <= up_off < len(rows[i - 2]):
-                up = rows[i - 2][up_off]
-        if left is not None:
-            lr = _rank(kind, n, left)
-            lo = max(lo, lr if _row_repeat_ok(kind, left) else lr + 1)
-        if up is not None:
-            ur = _rank(kind, n, up)
-            lo = max(lo, ur if _col_stack_ok(kind, up) else ur + 1)
-        diag = qkind and c == 0
-        prev_group = rows[i - 2][0].k if (diag and i > 1) else None
-        for r in range(lo, A):
-            e = alpha[r]
-            if kind in ("spChar", "soChar") and not e.zero and e.k < i:
-                continue
-            if diag:
-                if e.zero:
-                    continue
-                if spso_q and prev_group is not None and e.k == prev_group:
-                    continue
-            rows[i - 1].append(e)
-            yield from fill(i, c + 1)
-            rows[i - 1].pop()
+                yield Tableau(kind, n, parts, tuple(rows))
+            else:
+                yield from stack(i + 1, ranks)
 
-    yield from fill(1, 0)
+    yield from stack(1, ())
 
 
-def _rank(kind: str, n: int, e: Entry) -> int:
-    if kind == "glChar":
-        return e.k - 1
-    if kind == "spChar":
-        return 2 * (e.k - 1) + (1 if e.barred else 0)
-    if kind == "soChar":
-        if e.zero:
-            return 2 * n
-        return 2 * (e.k - 1) + (1 if e.barred else 0)
-    if kind == "glQ":
-        return 2 * (e.k - 1) + (0 if e.primed else 1)
-    # spQ / soQ
-    if e.zero:
-        return 4 * n
-    return 4 * (e.k - 1) + 2 * (1 if e.barred else 0) + (0 if e.primed else 1)
+def _row_ranks(kind, alpha, i, width, floors=(), group=None):
+    """Rank tuples of every admissible row i of the given width, in
+    lexicographic order.  Ranks start at the row's minimum and obey the
+    row-repeat rule; cell c also stays at or above ``floors[c]`` where the
+    row above reaches (see _floors); in the Q kinds the diagonal cell
+    holds no zero letter and no letter of ``group``."""
+    A = len(alpha)
+    qkind = kind in Q_KINDS
+    lo = max(_row_min_rank(kind, i), floors[0] if floors else 0)
+    rows = [(r,) for r in range(lo, A)
+            if not (qkind and (alpha[r].zero or alpha[r].k == group))]
+    for c in range(1, width):
+        floor = floors[c] if c < len(floors) else 0
+        nxt = []
+        for row in rows:
+            last = row[-1]
+            lo = last if _row_repeat_ok(kind, alpha[last]) else last + 1
+            nxt += [row + (r,) for r in range(max(lo, floor), A)]
+        rows = nxt
+    return rows
+
+
+def _floors(kind, alpha, above, width):
+    """Lowest admissible rank of each cell of a row of the given width
+    under the row of ranks ``above``, for the cells that have a cell
+    above them (shifted rows align one step over)."""
+    src = above[1:1 + width] if kind in Q_KINDS else above[:width]
+    return tuple(r if _col_stack_ok(kind, alpha[r]) else r + 1 for r in src)
 
 
 def count_tableaux(kind: str, shape, n: int) -> int:
@@ -436,43 +405,34 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # the rules coupling row i+1 to row i only read, per cell, the entry
 # directly above, and the admissibility threshold each top entry imposes
 # on the cell below it depends on the top entry alone.  So we sweep rows
-# top to bottom keeping, for each candidate row content r, the polynomial
-# H_i(r) = sum of weights of all fillings of rows 1..i ending in r, bucket
-# the H_i by the threshold vector their row imposes, accumulate the
-# buckets with a multidimensional prefix sum, and read each H_{i+1}(r')
-# off with a single lookup.  test_tableaux pins this against the naive
-# per-tableau sum.
+# top to bottom keeping, for each candidate row content r (from
+# _row_ranks, without floors), the polynomial H_i(r) = sum of weights of
+# all fillings of rows 1..i ending in r, bucket the H_i by the threshold
+# vector their row imposes (_floors, the bounds enumerate_tableaux stacks
+# rows with), accumulate the buckets with a multidimensional prefix sum,
+# and read each H_{i+1}(r') off with a single lookup.  test_tableaux pins
+# this against the naive per-tableau sum.
 
 _DENSE_TABLE_CAP = 500_000
 
 
-def _row_candidates(kind, alpha, n, i, length, vt):
+def _row_candidates(kind, alpha, n, i, width, vt):
     """All admissible contents for row i in isolation, as (ranks, weight)
-    pairs; within-row rules applied, cross-row rules left to the caller."""
-    qkind = kind in Q_KINDS
-    A = len(alpha)
-    base_lo = _row_min_rank(kind, i)
-    out = []
-    ranks: list[int] = []
+    pairs; within-row rules applied, cross-row rules left to the caller.
+    Rows sharing a prefix share its weight, so every distinct prefix
+    costs one multiplication."""
+    start = i if kind in Q_KINDS else 1
+    weights = {(): MultiPoly.one(vt)}
 
-    def rec(c: int, lo: int, w: MultiPoly):
-        if c == length:
-            out.append((tuple(ranks), w))
-            return
-        j = (i if qkind else 1) + c
-        for r in range(lo, A):
-            e = alpha[r]
-            if kind in ("spChar", "soChar") and not e.zero and e.k < i:
-                continue
-            if qkind and c == 0 and e.zero:
-                continue
-            nxt_lo = r if _row_repeat_ok(kind, e) else r + 1
-            ranks.append(r)
-            rec(c + 1, nxt_lo, w * cell_weight(vt, kind, n, e, i, j))
-            ranks.pop()
+    def weight(ranks):
+        w = weights.get(ranks)
+        if w is None:
+            c = len(ranks) - 1
+            w = weights[ranks] = weight(ranks[:-1]) * cell_weight(
+                vt, kind, n, alpha[ranks[-1]], i, start + c)
+        return w
 
-    rec(0, base_lo, MultiPoly.one(vt))
-    return out
+    return [(ranks, weight(ranks)) for ranks in _row_ranks(kind, alpha, i, width)]
 
 
 def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
@@ -482,19 +442,9 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
     A = len(alpha)
-    qkind = kind in Q_KINDS
     spso_q = kind in ("spQ", "soQ")
     zero_p = MultiPoly.zero(vt)
-
-    def thresholds(row_ranks, width):
-        """Admissibility thresholds the given top row imposes on the
-        aligned cells of the next row (shifted rows align one step over)."""
-        src = row_ranks[1:1 + width] if qkind else row_ranks[:width]
-        return tuple(r if _col_stack_ok(kind, alpha[r]) else r + 1 for r in src)
-
-    # H for row 1
-    level = _row_candidates(kind, alpha, n, 1, parts[0], vt)
-    H = {ranks: w for ranks, w in level}
+    H = dict(_row_candidates(kind, alpha, n, 1, parts[0], vt))
 
     for i in range(2, len(parts) + 1):
         width = parts[i - 1]
@@ -502,7 +452,7 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
         # group dimension for the sp/so Q kinds)
         buckets: dict[tuple, MultiPoly] = {}
         for ranks, h in H.items():
-            th = thresholds(ranks, width)
+            th = _floors(kind, alpha, ranks, width)
             if spso_q:
                 th = (alpha[ranks[0]].k + 1,) + th
             got = buckets.get(th)

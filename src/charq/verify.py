@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul
 
-from .algebra import MultiPoly, vartable_for, xbar, xv, ybar, yv
-from .characters import (CHAR_ROUTES, GROUP_KINDS, h_factorial, h_range,
-                         one_part_expansion)
+from .algebra import (MultiPoly, add_a, determinant, vartable_for, xbar, xv,
+                      ybar, yv)
+from .characters import (CHAR_ROUTES, GROUP_KINDS, _def_entry, h_factorial,
+                         h_one_var, h_range, one_part_expansion)
 from .lattice import tableau_to_paths
 from .partitions import enumerate_partitions
-from .qfunctions import (QFUNC_KINDS, f_mpqn, q_determinantal, q_md,
-                         q_tableaux, qtilde, shift_a_down, verify_tokuyama)
+from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
+                         q_determinantal, q_md, q_tableaux, qtilde,
+                         shift_a_down, verify_tokuyama)
 from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, enumerate_tableaux,
                        tableau_factors)
 
@@ -72,19 +74,12 @@ def _run_cases(suite: str, cases) -> SuiteReport:
                                for index, (inputs, thunk) in enumerate(cases)])
 
 
-def _char_kinds(kind_filter):
+def _kinds(family: tuple[str, ...], kind_filter, what: str) -> tuple[str, ...]:
+    """The kinds a suite runs: all of ``family``, or the one it is asked for."""
     if kind_filter is None:
-        return GROUP_KINDS
-    if kind_filter not in GROUP_KINDS:
-        raise ValueError(f"character suite kind must be one of {GROUP_KINDS}")
-    return (kind_filter,)
-
-
-def _q_kinds(kind_filter):
-    if kind_filter is None:
-        return QFUNC_KINDS
-    if kind_filter not in QFUNC_KINDS:
-        raise ValueError(f"Q suite kind must be one of {QFUNC_KINDS}")
+        return family
+    if kind_filter not in family:
+        raise ValueError(f"{what} suite kind must be one of {family}")
     return (kind_filter,)
 
 
@@ -95,7 +90,7 @@ def suite_routes(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
                  methods=("def", "hdet", "jt", "tab")) -> SuiteReport:
     """All requested character routes agree on every (kind, n, shape)."""
     cases = []
-    for k in _char_kinds(kind):
+    for k in _kinds(GROUP_KINDS, kind, "character"):
         for n in range(1, n_max + 1):
             for lam in enumerate_partitions(lambda_max, n):
                 cases.append(_route_case(k, n, lam.parts, methods))
@@ -128,7 +123,7 @@ def _route_case(kind, n, parts, methods):
 def suite_q_routes(n_max: int = 2, lambda_max: int = 3,
                    kind: str | None = None) -> SuiteReport:
     cases = []
-    for k in _q_kinds(kind):
+    for k in _kinds(QFUNC_KINDS, kind, "Q"):
         for n in range(1, n_max + 1):
             for lam in enumerate_partitions(lambda_max, n, strict=True):
                 cases.append(_q_route_case(k, n, lam.parts))
@@ -151,7 +146,7 @@ def suite_tokuyama(n_max: int = 2, mu_max: int = 2,
                    kind: str | None = None) -> SuiteReport:
     """Tokuyama factorisation over all mu with |mu| <= mu_max."""
     cases = []
-    for k in _q_kinds(kind):
+    for k in _kinds(QFUNC_KINDS, kind, "Q"):
         for n in range(1, n_max + 1):
             for mu in enumerate_partitions(mu_max, n):
                 if mu.size > mu_max:
@@ -181,7 +176,7 @@ def suite_h_diff(n_max: int = 2, m_max: int = 4,
     recursion, the closed-form denominator determinants, and the one-part
     expansions."""
     cases = []
-    for k in _char_kinds(kind):
+    for k in _kinds(GROUP_KINDS, kind, "character"):
         for n in range(1, n_max + 1):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
@@ -214,7 +209,6 @@ def _h_recursion_case(kind, n, m):
     inputs = {"identity": "h-recursion", "kind": kind, "n": n, "m": m}
 
     def thunk():
-        from .algebra import add_a
         vt = vartable_for(n, m)
         full = h_range(kind, m, 1, n, vt)
         head = h_range(kind, m, 1, n - 1, vt)
@@ -238,8 +232,6 @@ def _h_denominator_case(kind, n):
     inputs = {"identity": "h-denominator", "kind": kind, "n": n}
 
     def thunk():
-        from .algebra import determinant
-        from .characters import h_one_var, _def_entry
         vt = vartable_for(n, 0 if kind == "gl" else 1)
         hd = determinant([[h_one_var(kind, n - j, i, vt) for j in range(1, n + 1)]
                           for i in range(1, n + 1)], vt=vt)
@@ -274,7 +266,7 @@ def suite_f_diff(n_max: int = 2, m_max: int = 4,
     """f difference relations and reductions, the qtilde recursions, and
     the diagonal-prefactor bridge identities."""
     cases = []
-    for k in _q_kinds(kind):
+    for k in _kinds(QFUNC_KINDS, kind, "Q"):
         for n in range(1, n_max + 1):
             for p in range(1, n + 1):
                 for q in range(p, n + 1):
@@ -300,10 +292,7 @@ def _f_diff_case(kind, n, p, q, m):
     def thunk():
         vt = vartable_for(n, m + n)
         lhs = f_mpqn(kind, m, p, q - 1, vt) - f_mpqn(kind, m, p + 1, q, vt)
-        pref = xv(vt, p) + yv(vt, q)
-        if kind in ("spQ", "soQ"):
-            pref = pref + xbar(vt, p) + ybar(vt, q)
-        rhs = pref * f_mpqn(kind, m - 1, p, q, vt)
+        rhs = prefactor(kind, p, q, vt) * f_mpqn(kind, m - 1, p, q, vt)
         return lhs == rhs, {}
 
     return inputs, thunk
@@ -318,7 +307,7 @@ def _f_reduction_case(kind, n, p, q, m):
         if p == q:
             ok = f_mpqn(kind, m, p, p, vt) == q_md(kind, m, p, vt)
         if q == n:
-            h = h_factorial({"glQ": "gl", "spQ": "sp", "soQ": "so"}[kind], m, p, vt)
+            h = h_factorial(CHAR_KIND[kind], m, p, vt)
             if kind == "soQ":
                 h = shift_a_down(h, vt)
             ok = ok and f_mpqn(kind, m, p, n, vt) == h
@@ -341,7 +330,7 @@ def _bridge_case(kind, n, i, m):
         extra = [MultiPoly.one(vt)] if kind == "soQ" else []
         lhs = (xv(vt, i) + yv(vt, i)) * qtilde(m, xs + xb, ys1 + yb + extra, vt) \
             + (xbar(vt, i) + ybar(vt, i)) * qtilde(m, xs1 + xb, ys1 + yb1 + extra, vt)
-        rhs = (xv(vt, i) + yv(vt, i) + xbar(vt, i) + ybar(vt, i)) * q_md(kind, m, i, vt)
+        rhs = prefactor(kind, i, i, vt) * q_md(kind, m, i, vt)
         return lhs == rhs, {}
 
     return inputs, thunk
@@ -354,7 +343,6 @@ def _qtilde_recursion_case(n, r, s, m):
         vt = vartable_for(n, m + r + 1)
         us = [xv(vt, (k % n) + 1) for k in range(r)]
         vs = [yv(vt, (k % n) + 1) for k in range(s)]
-        from .algebra import add_a
         ok = True
         if r >= 1:
             lhs = qtilde(m, us, vs, vt)
@@ -387,10 +375,7 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     of the cell weights; equal multisets have equal products.  Only when
     the multisets differ are both products expanded, and then the
     products decide, so the verdict is exactly product equality."""
-    kinds = ALL_KINDS if kind is None else (kind,)
-    for k in kinds:
-        if k not in ALL_KINDS:
-            raise ValueError(f"unknown tableau kind {k!r}")
+    kinds = _kinds(ALL_KINDS, kind, "tableau")
     cases = []
     if shapes is not None:
         for k, parts, n in shapes:

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,6 +115,36 @@ def test_tableaux_paths_flag(capsys):
     assert first["paths"]["paths"][0]["edges"][0]["type"] == "C"
 
 
+# SHA-256 of the full `tableaux --paths` JSON stream, one family and shape
+# each; any change to enumeration order, path geometry or edge weights
+# shows here
+_PATH_DIGESTS = {
+    ("glChar", "2,1", "3"):
+        "46154be11782fc7f73b915044e8a9e630243fe21bbfced569b4e33d9eefebe60",
+    ("spChar", "2,1", "2"):
+        "17cd2b2efe3ac245efcd46ba3f407bf669b09a54c061acfab3d208f60dcd8f74",
+    ("soChar", "2,1", "2"):
+        "fb63ecebf8e5129b18316d50d0c5b68d2a0640aa789008c63f33f0d0f15aea97",
+    ("soChar", "2,2", "3"):
+        "3b580daeb6a10e48ee2b7d1f41a328b15ac5e7c97679f24f5be46b0e3dedf801",
+    ("glQ", "2,1", "2"):
+        "f0680c25268b3c87a0e18d2a0f34816e761313207e04a0c8cde0662449b4a0a2",
+    ("spQ", "2,1", "2"):
+        "6848a90a7c408aa907dd8578cae4ebb6ac13101c639a2e7bbc528c9997bfaf5f",
+    ("soQ", "3,1", "2"):
+        "a4bf491c5b029bc9d5ebfbab80a3b3c21d2f9fbc55371fd01298f861d566bc62",
+}
+
+
+@pytest.mark.parametrize("kind,lam,n", sorted(_PATH_DIGESTS))
+def test_tableaux_paths_bytes_pinned(capsys, kind, lam, n):
+    code, out, _ = run(capsys, "tableaux", "--kind", kind, "--lambda", lam,
+                       "--n", n, "--paths")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _PATH_DIGESTS[(kind, lam, n)]
+
+
 def test_verify_suite_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tokuyama",
                        "--n-max", "2", "--mu-max", "2")
@@ -152,6 +183,8 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "verify", "--suite", "zzz")[0] == 2
     assert run(capsys, "qfun", "--kind", "glQ", "--n", "1",
                "--lambda", "2,2")[0] == 2
+    assert run(capsys, "qfun", "--kind", "glQ", "--n", "2",
+               "--lambda", "2,-1")[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,9 +6,9 @@ from charq.algebra import (MultiPoly, add_a, av, specialize, vartable_for,
                            xbar, xv, ybar, yv)
 from charq.characters import h_factorial
 from charq.partitions import enumerate_partitions
-from charq.qfunctions import (diagonal_prefactor, f_mpqn, q_determinantal,
-                              q_md, q_tableaux, qfunction, qtilde,
-                              shift_a_down, staircase, verify_tokuyama)
+from charq.qfunctions import (f_mpqn, prefactor, q_determinantal, q_md,
+                              q_tableaux, qfunction, qtilde, shift_a_down,
+                              staircase, verify_tokuyama)
 
 from oracles import classical_q_brute
 
@@ -44,6 +44,8 @@ def test_strictness_guard():
     vt = vartable_for(2, 2)
     with pytest.raises(ValueError):
         q_tableaux("glQ", (2, 2), vt)
+    with pytest.raises(ValueError):
+        q_determinantal("glQ", (2, -1), vt)
 
 
 # -- qtilde -----------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_diagonal_bridge(kind):
                     qtilde(m, xs + xb, ys1 + yb + extra, vt) + \
                     (xbar(vt, i) + ybar(vt, i)) * \
                     qtilde(m, xs1 + xb, ys1 + yb1 + extra, vt)
-                rhs = diagonal_prefactor(kind, i, vt) * q_md(kind, m, i, vt)
+                rhs = prefactor(kind, i, i, vt) * q_md(kind, m, i, vt)
                 assert lhs == rhs, (kind, n, i, m)
 
 
