@@ -250,13 +250,6 @@ class MultiPoly:
         return cls.const(vt, 1)
 
     @classmethod
-    def var(cls, vt: VarTable, name: str, exp: int = 1) -> "MultiPoly":
-        pos = vt.index.get(name)
-        if pos is None:
-            raise VarTableMismatch(f"unknown variable {name!r}")
-        return cls.var_at(vt, pos, exp)
-
-    @classmethod
     def var_at(cls, vt: VarTable, pos: int, exp: int = 1) -> "MultiPoly":
         if exp == 0:
             return cls.one(vt)
@@ -684,19 +677,17 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
     return total
 
 
-def project_away_a(p: MultiPoly) -> MultiPoly:
-    """Rebuild a polynomial that no longer involves any a-variable over
-    the table with a_max = 0 (same rank)."""
+def at_a_zero(p: MultiPoly) -> MultiPoly:
+    """p with every a_k set to 0: its a-free terms, rebuilt over the table
+    with a_max = 0 (same rank), so no a token is left anywhere."""
     vt = p.vt
-    small = vartable(vt.n, 0)
     lo, hi = 2 * vt.n, 2 * vt.n + vt.a_max
     out = {}
     for key, c in p.terms.items():
         mono = vt.unpack(key)
-        if any(mono[lo:hi]):
-            raise ValueError("polynomial still involves a-variables")
-        out[mono[:lo] + (mono[vt.t_pos],)] = c
-    return MultiPoly(small, out)
+        if not any(mono[lo:hi]):
+            out[mono[:lo] + (mono[vt.t_pos],)] = c
+    return MultiPoly(vartable(vt.n, 0), out)
 
 
 def permute_variables(p: MultiPoly, mapping: dict[str, str]) -> MultiPoly:

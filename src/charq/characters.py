@@ -18,8 +18,8 @@ factorial parameters a_k:
 over the flagged alphabet x_d..x_n; ``one_part_expansion`` is the closed
 multi-index sum for one-row shapes.
 
-Everything here is a pure function of immutable values; the h caches are
-keyed by (kind, m, flag or variable, table), so a cached value is the
+Everything here is a pure function of immutable values.  The one h cache
+is keyed by (kind, m, alphabet range, table), so a cached value is the
 value a fresh computation would give.
 """
 
@@ -56,20 +56,16 @@ def _padded(parts, n):
 # -- generating-function h families ----------------------------------------
 
 
-def _h_series_coeff(kind: str, m: int, xs: tuple[int, ...], vt: VarTable,
-                    a_limit: int) -> MultiPoly:
-    """[t^m] of prod_i 1/(1-t x_i) [ * 1/(1-t xbar_i) for sp/so ]
-    [ * (1+t) for so ] * prod_{k=1..a_limit} (1+t a_k)."""
-    letters = (xv,) if kind == "gl" else (xv, xbar)
-    geometric = [x(vt, i) for i in xs for x in letters]
-    linear = [MultiPoly.one(vt)] if kind == "so" else []
-    return gf_coeff(m, geometric, linear, a_limit, vt)
-
-
 @lru_cache(maxsize=None)
-def _h_factorial_cached(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
-    xs = tuple(range(d, vt.n + 1))
-    return _h_series_coeff(kind, m, xs, vt, m + vt.n - d)
+def _h(kind: str, m: int, lo: int, hi: int, vt: VarTable) -> MultiPoly:
+    """[t^m] of prod_{i=lo..hi} 1/(1-t x_i) [ * 1/(1-t xbar_i) for sp/so ]
+    [ * (1+t) for so ] * prod_{k=1..m+hi-lo} (1+t a_k); h_0 = 1."""
+    if m == 0:
+        return MultiPoly.one(vt)
+    letters = (xv,) if kind == "gl" else (xv, xbar)
+    geometric = [x(vt, i) for i in range(lo, hi + 1) for x in letters]
+    linear = [MultiPoly.one(vt)] if kind == "so" else []
+    return gf_coeff(m, geometric, linear, m + hi - lo, vt)
 
 
 def h_factorial(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
@@ -79,11 +75,7 @@ def h_factorial(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
     _check_kind(kind)
     if not 1 <= d <= vt.n:
         raise ValueError(f"flag d={d} out of range 1..{vt.n}")
-    if m < 0:
-        return MultiPoly.zero(vt)
-    if m == 0:
-        return MultiPoly.one(vt)
-    return _h_factorial_cached(kind, m, d, vt)
+    return _h(kind, m, d, vt.n, vt)
 
 
 def h_range(kind: str, m: int, lo: int, hi: int, vt: VarTable) -> MultiPoly:
@@ -91,25 +83,13 @@ def h_range(kind: str, m: int, lo: int, hi: int, vt: VarTable) -> MultiPoly:
     and the unit for so); the parameter product counts the x's only.  An
     empty range (lo > hi) is allowed."""
     _check_kind(kind)
-    if m < 0:
-        return MultiPoly.zero(vt)
-    xs = tuple(range(lo, hi + 1))
-    return _h_series_coeff(kind, m, xs, vt, m + len(xs) - 1)
-
-
-@lru_cache(maxsize=None)
-def _h_one_var_cached(kind: str, m: int, i: int, vt: VarTable) -> MultiPoly:
-    return _h_series_coeff(kind, m, (i,), vt, m)
+    return _h(kind, m, lo, max(hi, lo - 1), vt)
 
 
 def h_one_var(kind: str, m: int, i: int, vt: VarTable) -> MultiPoly:
     """Single-variable h value in x_i alone; the a-product stops at a_m."""
     _check_kind(kind)
-    if m < 0:
-        return MultiPoly.zero(vt)
-    if m == 0:
-        return MultiPoly.one(vt)
-    return _h_one_var_cached(kind, m, i, vt)
+    return _h(kind, m, i, i, vt)
 
 
 # -- route 1: defining determinant ratio ------------------------------------
@@ -128,32 +108,29 @@ def _def_entry(kind: str, i: int, m: int, vt: VarTable) -> MultiPoly:
     return xv(vt, i) * fp - fp_bar
 
 
-def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:
-    """Ratio of the two defining determinants; the division is exact
+def _det_ratio(kind: str, lam, vt: VarTable, entry) -> MultiPoly:
+    """|entry(i, lam_j + n - j)| / |entry(i, n - j)|; the division is exact
     because the quotient is the character (NonExactDivision would signal
     an implementation fault)."""
     parts = _check_partition(kind, lam, vt)
     n = vt.n
     full = _padded(parts, n)
-    num = [[_def_entry(kind, i, full[j - 1] + n - j, vt) for j in range(1, n + 1)]
+    num = [[entry(i, full[j - 1] + n - j) for j in range(1, n + 1)]
            for i in range(1, n + 1)]
-    den = [[_def_entry(kind, i, n - j, vt) for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
+    den = [[entry(i, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     return exact_div(determinant(num, vt=vt), determinant(den, vt=vt))
+
+
+def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:
+    """Ratio of the two defining determinants."""
+    return _det_ratio(kind, lam, vt, lambda i, m: _def_entry(kind, i, m, vt))
 
 
 # -- route 2: one-variable h determinant ratio -------------------------------
 
 
 def char_hdet(kind: str, lam, vt: VarTable) -> MultiPoly:
-    parts = _check_partition(kind, lam, vt)
-    n = vt.n
-    full = _padded(parts, n)
-    num = [[h_one_var(kind, full[j - 1] + n - j, i, vt) for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
-    den = [[h_one_var(kind, n - j, i, vt) for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
-    return exact_div(determinant(num, vt=vt), determinant(den, vt=vt))
+    return _det_ratio(kind, lam, vt, lambda i, m: h_one_var(kind, m, i, vt))
 
 
 # -- route 3: flagged Jacobi-Trudi determinant -------------------------------
@@ -202,60 +179,46 @@ def character(kind: str, lam, vt: VarTable, method: str = "jt") -> MultiPoly:
 def one_part_expansion(kind: str, m: int, vt: VarTable) -> MultiPoly:
     """Closed multi-index sum for the one-row character of order m.
 
-    gl sums over weakly increasing index words in x_1..x_n with parameter
-    indices advancing by position; sp does the same over the interleaved
-    word x_1, xbar_1, .., x_n, xbar_n with the parameter index shifted
-    down by n (vanishing when nonpositive); so adds one unit shift and a
-    second sum carrying the trailing (1 - a_{m+n}) factor.
+    One sum over weakly increasing words of letters (v, offset), each
+    letter at position pos weighing v + a_{offset + pos} (a_l = 0 for
+    l <= 0).  gl's letters are (x_i, i) for i = 1..n; sp's are the
+    interleaved x_1, xbar_1, .., x_n, xbar_n with offset the letter's
+    number less n; so shifts those offsets up by one and adds a second
+    sum carrying the trailing (1 - a_{m+n}) factor.
     """
     _check_kind(kind)
     if m < 0:
         raise ValueError("m must be >= 0")
     n = vt.n
-    one = MultiPoly.one(vt)
     if m == 0:
-        return one
-
-    if kind == "gl":
-        if m + n - 1 > vt.a_max:
-            raise AIndexOutOfRange("table too small for this expansion")
-        total = MultiPoly.zero(vt)
-
-        def rec(pos: int, start: int, w: MultiPoly):
-            nonlocal total
-            if pos == m:
-                total = total + w
-                return
-            for i in range(start, n + 1):
-                rec(pos + 1, i, w * add_a(xv(vt, i), i + pos))
-        rec(0, 1, one)
-        return total
-
-    def z_factor(idx: int, pos: int, shift: int) -> MultiPoly:
-        # letter idx in 1..2n: odd 2k-1 -> x_k, even 2k -> xbar_k; the
-        # parameter index is idx - n + pos + shift with a_l = 0 for l <= 0
-        k = (idx + 1) // 2
-        base = xv(vt, k) if idx % 2 == 1 else xbar(vt, k)
-        return add_a(base, idx - n + pos + shift)
-
-    if m + n > vt.a_max:
+        return MultiPoly.one(vt)
+    if m + n - (kind == "gl") > vt.a_max:
         raise AIndexOutOfRange("table too small for this expansion")
+    if kind == "gl":
+        letters = [(xv(vt, i), i) for i in range(1, n + 1)]
+    else:
+        base = n - (kind == "so")
+        letters = [(x(vt, k), 2 * k - odd - base)
+                   for k in range(1, n + 1) for x, odd in ((xv, 1), (xbar, 0))]
+    total = _word_sum(letters, m, vt)
+    if kind == "so":
+        tail = MultiPoly.one(vt) - av(vt, m + n)
+        total = total + _word_sum(letters, m - 1, vt) * tail
+    return total
 
-    def z_sum(length: int, shift: int) -> MultiPoly:
-        total = MultiPoly.zero(vt)
 
-        def rec(pos: int, start: int, w: MultiPoly):
-            nonlocal total
-            if pos == length:
-                total = total + w
-                return
-            for idx in range(start, 2 * n + 1):
-                rec(pos + 1, idx, w * z_factor(idx, pos, shift))
-        rec(0, 1, one)
-        return total
+def _word_sum(letters, length: int, vt: VarTable) -> MultiPoly:
+    """Sum over weakly increasing words of ``letters`` (pairs (v, offset))
+    of the products of v + a_{offset + pos} over the word's positions."""
+    total = MultiPoly.zero(vt)
 
-    if kind == "sp":
-        return z_sum(m, 0)
-    # so: unit extra shift, plus the second sum ending in (1 - a_{m+n})
-    tail = one - av(vt, m + n)
-    return z_sum(m, 1) + z_sum(m - 1, 1) * tail
+    def rec(pos: int, start: int, w: MultiPoly):
+        nonlocal total
+        if pos == length:
+            total = total + w
+            return
+        for idx in range(start, len(letters)):
+            v, offset = letters[idx]
+            rec(pos + 1, idx, w * add_a(v, offset + pos))
+    rec(0, 0, MultiPoly.one(vt))
+    return total

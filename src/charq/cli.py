@@ -23,8 +23,8 @@ import json
 import os
 import sys
 
-from .algebra import (AlgebraError, MultiPoly, poly_to_obj, poly_to_text,
-                      project_away_a, specialize, vartable_for)
+from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_obj,
+                      poly_to_text, vartable_for)
 from .characters import CHAR_ROUTES, GROUP_KINDS, character
 from .lattice import tableau_to_paths
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
@@ -40,20 +40,14 @@ class SpecError(Exception):
 
 
 def _parse_parts(text: str | None) -> tuple[int, ...]:
+    """Comma-separated integers; an empty argument is the empty partition,
+    an empty field anywhere else is refused."""
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.split(",") if p != "")
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"bad partition {text!r}: expected comma-separated integers")
-
-
-def _zero_a(p: MultiPoly) -> MultiPoly:
-    vt = p.vt
-    zero = MultiPoly.zero(vt)
-    p = specialize(p, {f"a{k}": zero for k in range(1, vt.a_max + 1)})
-    # zero-parameter output carries no a tokens anywhere, headers included
-    return project_away_a(p)
 
 
 def _emit_poly(p: MultiPoly, out: str) -> str:
@@ -77,7 +71,7 @@ def _run_poly_command(args, kinds, routes, compute) -> int:
     for m in methods:
         p = compute(args.kind, parts, vt, m)
         if args.a == "zero":
-            p = _zero_a(p)
+            p = at_a_zero(p)
         values[m] = p
     first = values[methods[0]]
     equal = all(v == first for v in values.values())

@@ -13,12 +13,17 @@ C curved start.  For every valid tableau the product of edge weights of
 its image equals the tableau weight, distinct tableaux give distinct
 tuples, and the paths of one tuple share no lattice vertex.
 
-Every H, D and C edge weighs one factor v + a_k, v - a_k or 1 - a_k
+One walker, ``tableau_to_paths``, draws every family: it places each
+path's start point, runs one loop over the row's letters, and drops the
+path to the bottom level.  One function, ``_edge_weight``, gives every
+H, D and C weight.  Each weighs one factor v + a_k, v - a_k or 1 - a_k
 (v one of x_i, xbar_i, y_i, ybar_i; a_k = 0 for k <= 0), and so does
 every cell of a tableau: the image of a tableau carries the factors of
-its cells.  ``verify.suite_lgv`` checks weight preservation that way.
-It compares the two factor multisets and multiplies both sides out
-only when they differ, where the products decide exactly.
+its cells.  The edge weights read their index k off the step's lattice
+position, not off the cell (``tableaux.cell_weight``), so that
+``verify.suite_lgv``, which compares the two factor multisets, checks
+two independent statements of the weights; it multiplies both sides out
+only when the multisets differ, where the products decide exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import (MultiPoly, VarTable, add_a, poly_to_obj, xbar, xv, ybar,
                       yv)
-from .tableaux import CHAR_KINDS, Entry, Tableau, validate_tableau
+from .tableaux import Q_KINDS, Entry, Tableau, validate_tableau
 
 
 @dataclass(frozen=True)
@@ -128,101 +133,67 @@ def _drop(edges: list, level: int, col: int, to: int, one: MultiPoly) -> None:
         edges.append(Edge((2 * lv, col), (2 * (lv + 1), col), "V", one))
 
 
+def _edge_weight(kind: str, n: int, e: Entry, level: int, col: int,
+                 vt: VarTable) -> MultiPoly:
+    """Weight of the H, D or C step that places letter ``e``, leaving
+    ``level`` and ending in column ``col``: its variable (x, xbar, y,
+    ybar, or 1 for the zero letters) shifted by -a_k for primed and zero
+    letters and by +a_k otherwise.  The index k is read off the step's
+    lattice position: col - 1 on the Q side, and level + col less a
+    per-kind origin on the character side."""
+    if kind in Q_KINDS:
+        k = col - 1
+    elif kind == "glChar":
+        k = level + col - n - 1
+    else:
+        k = level + col - 2 * n - (kind == "spChar")
+    if e.zero:
+        return add_a(MultiPoly.one(vt), k, sign=-1)
+    if e.primed:
+        return add_a((ybar if e.barred else yv)(vt, e.k), k, sign=-1)
+    return add_a((xbar if e.barred else xv)(vt, e.k), k)
+
+
 def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
-    """The kind-specific bijective path image of a valid tableau."""
+    """The kind-specific bijective path image of a valid tableau.
+
+    Path i starts on the staircase at (level i, or 2i - 1 for sp/so,
+    column n - i + 1) for the character kinds, empty rows included.  On
+    the Q side it starts on the left edge at level d (2d - 1/2 for
+    spQ/soQ), d the diagonal letter's index, and a C step carries that
+    letter's bare variable to its level in column 1.  Each further letter
+    moves one column right: unprimed letters by an H step on their level,
+    primed and zero letters by a D step from the level above theirs.
+    Every path ends with V steps down to the bottom level."""
     report = validate_tableau(t)
     if not report:
         raise ValueError(f"invalid tableau: {report.rule} at {report.cell}")
-    if t.kind in CHAR_KINDS:
-        return _char_paths(t, vt)
-    return _q_paths(t, vt)
-
-
-def _char_paths(t: Tableau, vt: VarTable) -> PathTuple:
-    """Character families: path i starts on the staircase at column n-i+1
-    and ends at the bottom level in column n-i+1+shape_i; the j-th
-    horizontal step of path i sits at the level of entry (i, j).  The
-    odd-orthogonal 0 letter becomes a single final diagonal step."""
     kind, n = t.kind, t.n
     one = MultiPoly.one(vt)
-    n_levels = _n_levels(kind, n)
+    bottom = _n_levels(kind, n)
+    q_side = kind in Q_KINDS
+    rows = t.rows if q_side else list(t.rows) + [()] * (n - len(t.rows))
     paths = []
-    for i in range(1, n + 1):
-        row = t.rows[i - 1] if i <= len(t.rows) else ()
-        start_level = i if kind == "glChar" else 2 * i - 1
-        col = n - i + 1
-        start = (2 * start_level, col)
-        cur_level, cur_col = start_level, col
-        edges: list[Edge] = []
-        for j, e in enumerate(row, start=1):
-            target_col = n - i + 1 + j
-            lv = _level(kind, e, n)
-            if e.zero:
-                _drop(edges, cur_level, cur_col, 2 * n, one)
-                w = add_a(one, target_col, sign=-1)
-                edges.append(Edge((2 * 2 * n, cur_col),
-                                  (2 * (2 * n + 1), target_col), "D", w))
-            else:
-                _drop(edges, cur_level, cur_col, lv, one)
-                if kind == "glChar":
-                    w = add_a(xv(vt, e.k), e.k + target_col - n - 1)
-                elif kind == "spChar":
-                    base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
-                    w = add_a(base, lv + target_col - 2 * n - 1)
-                else:
-                    base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
-                    w = add_a(base, lv + target_col - 2 * n)
-                edges.append(Edge((2 * lv, cur_col), (2 * lv, target_col), "H", w))
-            cur_level, cur_col = lv, target_col
-        _drop(edges, cur_level, cur_col, n_levels, one)
-        paths.append(Path(start, (2 * n_levels, cur_col), tuple(edges)))
-    return PathTuple(kind, n, t.shape, tuple(paths))
-
-
-def _q_paths(t: Tableau, vt: VarTable) -> PathTuple:
-    """Q families: path i starts on the left edge at the level fixed by the
-    diagonal letter (half-integer for sp/so), opens with a curved step,
-    then unprimed letters walk horizontal steps on their level, primed
-    letters take diagonal steps down onto their level, and 0prime takes
-    the final diagonal step to the extra bottom level."""
-    kind, n = t.kind, t.n
-    one = MultiPoly.one(vt)
-    n_levels = _n_levels(kind, n)
-    paths = []
-    for row in t.rows:
-        head = row[0]
-        d = head.k
-        if kind == "glQ":
-            start = (2 * d, 0)
+    for i, row in enumerate(rows, start=1):
+        if q_side:
+            head, row = row[0], row[1:]
+            level, col = _level(kind, head, n), 1
+            start = (2 * head.k if kind == "glQ" else 4 * head.k - 1, 0)
+            edges = [Edge(start, (2 * level, col), "C",
+                          _edge_weight(kind, n, head, level, col, vt))]
         else:
-            start = (2 * (2 * d) - 1, 0)   # level 2d - 1/2, doubled
-        head_level = _level(kind, head, n)
-        if head.primed:
-            w = ybar(vt, head.k) if head.barred else yv(vt, head.k)
-        else:
-            w = xbar(vt, head.k) if head.barred else xv(vt, head.k)
-        edges = [Edge(start, (2 * head_level, 1), "C", w)]
-        cur_level, cur_col = head_level, 1
-        for c, e in enumerate(row[1:], start=1):
-            off = c                      # = j - i for cell (i, i+c)
-            target_col = c + 1
+            level, col = (i if kind == "glChar" else 2 * i - 1), n - i + 1
+            start = (2 * level, col)
+            edges = []
+        for e in row:
             lv = _level(kind, e, n)
-            if e.zero:
-                _drop(edges, cur_level, cur_col, 2 * n, one)
-                w = add_a(one, off, sign=-1)
-                edges.append(Edge((2 * 2 * n, cur_col),
-                                  (2 * (2 * n + 1), target_col), "D", w))
-            elif e.primed:
-                _drop(edges, cur_level, cur_col, lv - 1, one)
-                base = ybar(vt, e.k) if e.barred else yv(vt, e.k)
-                w = add_a(base, off, sign=-1)
-                edges.append(Edge((2 * (lv - 1), cur_col), (2 * lv, target_col), "D", w))
-            else:
-                _drop(edges, cur_level, cur_col, lv, one)
-                base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
-                w = add_a(base, off)
-                edges.append(Edge((2 * lv, cur_col), (2 * lv, target_col), "H", w))
-            cur_level, cur_col = lv, target_col
-        _drop(edges, cur_level, cur_col, n_levels, one)
-        paths.append(Path(start, (2 * n_levels, cur_col), tuple(edges)))
+            diagonal = e.primed or e.zero
+            frm = lv - 1 if diagonal else lv
+            _drop(edges, level, col, frm, one)
+            edges.append(Edge((2 * frm, col), (2 * lv, col + 1),
+                              "D" if diagonal else "H",
+                              _edge_weight(kind, n, e, frm, col + 1, vt)))
+            level, col = lv, col + 1
+        _drop(edges, level, col, bottom, one)
+        paths.append(Path(start, (2 * bottom, col), tuple(edges)))
     return PathTuple(kind, n, t.shape, tuple(paths))

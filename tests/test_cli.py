@@ -162,6 +162,13 @@ def test_verify_lgv_targeted(capsys):
     assert rep["failed"] == 0
 
 
+def test_verify_all_default_grid_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "bfda45a036b62f2528167c9656f3d0957646efcca0137791af19ab320cc78720"
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "1",
                        "--lambda-max", "2", "--mu-max", "1", "--m-max", "2")
@@ -185,6 +192,12 @@ def test_usage_errors_exit_2(capsys):
                "--lambda", "2,2")[0] == 2
     assert run(capsys, "qfun", "--kind", "glQ", "--n", "2",
                "--lambda", "2,-1")[0] == 2
+    # an empty field is refused, not dropped
+    for lam in ("1,,1", "2,1,", ",1"):
+        assert run(capsys, "char", "--kind", "gl", "--n", "2",
+                   "--lambda", lam)[0] == 2
+    assert run(capsys, "verify", "--suite", "lgv", "--kind", "glChar",
+               "--n", "2", "--lambda", "2,,1")[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

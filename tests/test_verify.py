@@ -2,9 +2,10 @@
 
 import pytest
 
-from charq import verify
-from charq.algebra import xbar, xv
+from charq import lattice, verify
+from charq.algebra import vartable_for, xbar, xv
 from charq.lattice import PathTuple
+from charq.tableaux import enumerate_tableaux
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
                           suite_routes)
 
@@ -69,3 +70,26 @@ def test_lgv_split_factor_passes_through_exact_fallback(monkeypatch):
     rep = suite_lgv(shapes=[("glChar", (2, 1), 3), ("glQ", (2, 1), 2)])
     assert rep.ok and [c.detail["count"] for c in rep.cases] == [8, 8]
     assert len(expanded) == 8 + 8
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
+                                  "glQ", "spQ", "soQ"])
+def test_lgv_reports_a_shifted_edge_weight_index(monkeypatch, kind):
+    # every H, D and C step takes its weight from one lattice._edge_weight
+    # call; moving the column it is given by one shifts the parameter index
+    # of every such weight by one, which the weight check must see
+    real = lattice._edge_weight
+    calls = []
+    monkeypatch.setattr(lattice, "_edge_weight",
+                        lambda kind, n, e, level, col, vt:
+                        calls.append(e) or real(kind, n, e, level, col, vt))
+    vt = vartable_for(2, 2)
+    for t in enumerate_tableaux(kind, (2, 1), 2):
+        calls.clear()
+        pt = lattice.tableau_to_paths(t, vt)
+        assert len(calls) == sum(e.kind != "V" for p in pt.paths for e in p.edges)
+    monkeypatch.setattr(lattice, "_edge_weight",
+                        lambda kind, n, e, level, col, vt:
+                        real(kind, n, e, level, col + 1, vt))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "weight mismatch"}
