@@ -33,7 +33,7 @@ All serialisation sorts terms this way, so output bytes are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 import json
 from operator import mul, or_
@@ -424,6 +424,20 @@ def add_a(base: MultiPoly, k: int, sign: int = 1) -> MultiPoly:
     else:
         terms.pop(key, None)
     return _poly(vt, terms)
+
+
+@lru_cache(maxsize=None)
+def linear_factor(vt: VarTable, slot: int | None, exp: int, k: int,
+                  sign: int) -> MultiPoly:
+    """The linear factor v + sign*a_k (a_k = 0 for k <= 0), v the variable
+    at table position ``slot`` to the power ``exp`` (+1 or -1), or the
+    constant 1 when ``slot`` is None (``exp`` 0).  Cell and edge weights
+    are all such factors; cached, so equal calls share one immutable
+    value.  Pass every argument positionally: the cache keys on the call
+    as written.  AIndexOutOfRange for k > vt.a_max, as add_a; an error
+    leaves no cache entry."""
+    base = MultiPoly.one(vt) if slot is None else MultiPoly.var_at(vt, slot, exp)
+    return add_a(base, k, sign)
 
 
 def factorial_power(vt: VarTable, i: int, m: int, barred: bool = False) -> MultiPoly:

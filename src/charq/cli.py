@@ -101,6 +101,13 @@ def cmd_qfun(args) -> int:
 def cmd_tableaux(args) -> int:
     if args.kind not in ALL_KINDS:
         raise SpecError(f"--kind must be one of {', '.join(ALL_KINDS)}")
+    # refuse flags the command would ignore
+    if args.a == "zero":
+        raise SpecError("--a zero applies to char and qfun; tableaux and "
+                        "their path weights stay symbolic")
+    if args.paths and (args.count or args.out == "text"):
+        raise SpecError("--paths needs the JSON tableau stream, "
+                        "not --count or --out text")
     parts = _parse_parts(args.lam)
     try:
         check_shape(args.kind, parts, args.n)

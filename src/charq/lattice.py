@@ -19,19 +19,21 @@ path to the bottom level.  One function, ``_edge_weight``, gives every
 H, D and C weight.  Each weighs one factor v + a_k, v - a_k or 1 - a_k
 (v one of x_i, xbar_i, y_i, ybar_i; a_k = 0 for k <= 0), and so does
 every cell of a tableau: the image of a tableau carries the factors of
-its cells.  The edge weights read their index k off the step's lattice
-position, not off the cell (``tableaux.cell_weight``), so that
-``verify.suite_lgv``, which compares the two factor multisets, checks
-two independent statements of the weights; it multiplies both sides out
-only when the multisets differ, where the products decide exactly.
+its cells.  Both sides build their factors with the cached
+``algebra.linear_factor``, so equal factors are one shared object, and
+the unit V weight is that constructor's constant 1.  The edge weights
+read their index k off the step's lattice position, not off the cell
+(``tableaux.cell_weight``), so that ``verify.suite_lgv``, which compares
+the two factor multisets, checks two independent statements of the
+weights; it multiplies both sides out only when the multisets differ,
+where the products decide exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (MultiPoly, VarTable, add_a, poly_to_obj, xbar, xv, ybar,
-                      yv)
+from .algebra import MultiPoly, VarTable, linear_factor, poly_to_obj
 from .tableaux import Q_KINDS, Entry, Tableau, validate_tableau
 
 
@@ -148,10 +150,11 @@ def _edge_weight(kind: str, n: int, e: Entry, level: int, col: int,
     else:
         k = level + col - 2 * n - (kind == "spChar")
     if e.zero:
-        return add_a(MultiPoly.one(vt), k, sign=-1)
+        return linear_factor(vt, None, 0, k, -1)
+    exp = -1 if e.barred else 1
     if e.primed:
-        return add_a((ybar if e.barred else yv)(vt, e.k), k, sign=-1)
-    return add_a((xbar if e.barred else xv)(vt, e.k), k)
+        return linear_factor(vt, vt.y_pos(e.k), exp, k, -1)
+    return linear_factor(vt, vt.x_pos(e.k), exp, k, 1)
 
 
 def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
@@ -169,7 +172,7 @@ def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
     if not report:
         raise ValueError(f"invalid tableau: {report.rule} at {report.cell}")
     kind, n = t.kind, t.n
-    one = MultiPoly.one(vt)
+    one = linear_factor(vt, None, 0, 0, 1)
     bottom = _n_levels(kind, n)
     q_side = kind in Q_KINDS
     rows = t.rows if q_side else list(t.rows) + [()] * (n - len(t.rows))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import MultiPoly, VarTable, add_a, xbar, xv, ybar, yv
+from .algebra import MultiPoly, VarTable, linear_factor
 from .partitions import as_parts, is_strict
 
 CHAR_KINDS = ("glChar", "spChar", "soChar")
@@ -358,25 +358,24 @@ def cell_weight(vt: VarTable, kind: str, n: int, e: Entry, i: int, j: int) -> Mu
     diagonal; Q kinds use the bare diagonal offset j-i on every letter.
     """
     if kind == "glChar":
-        return add_a(xv(vt, e.k), e.k + j - i)
+        return linear_factor(vt, vt.x_pos(e.k), 1, e.k + j - i, 1)
     if kind == "spChar":
         if e.barred:
-            return add_a(xbar(vt, e.k), 2 * e.k - n + j - i)
-        return add_a(xv(vt, e.k), 2 * e.k - 1 - n + j - i)
+            return linear_factor(vt, vt.x_pos(e.k), -1, 2 * e.k - n + j - i, 1)
+        return linear_factor(vt, vt.x_pos(e.k), 1, 2 * e.k - 1 - n + j - i, 1)
     if kind == "soChar":
         if e.zero:
-            return add_a(MultiPoly.one(vt), n + 1 + j - i, sign=-1)
+            return linear_factor(vt, None, 0, n + 1 + j - i, -1)
         if e.barred:
-            return add_a(xbar(vt, e.k), 2 * e.k + 1 - n + j - i)
-        return add_a(xv(vt, e.k), 2 * e.k - n + j - i)
+            return linear_factor(vt, vt.x_pos(e.k), -1, 2 * e.k + 1 - n + j - i, 1)
+        return linear_factor(vt, vt.x_pos(e.k), 1, 2 * e.k - n + j - i, 1)
     off = j - i
     if e.zero:
-        return add_a(MultiPoly.one(vt), off, sign=-1)
+        return linear_factor(vt, None, 0, off, -1)
+    exp = -1 if e.barred else 1
     if e.primed:
-        base = ybar(vt, e.k) if e.barred else yv(vt, e.k)
-        return add_a(base, off, sign=-1)
-    base = xbar(vt, e.k) if e.barred else xv(vt, e.k)
-    return add_a(base, off)
+        return linear_factor(vt, vt.y_pos(e.k), exp, off, -1)
+    return linear_factor(vt, vt.x_pos(e.k), exp, off, 1)
 
 
 def tableau_factors(t: Tableau, vt: VarTable) -> list[MultiPoly]:

@@ -397,16 +397,27 @@ def _lgv_case(kind, parts, n):
     def thunk():
         vt = vartable_for(n, parts[0] if parts else 0)
         unit = ((vt.zero, 1),)
+        # cell and edge factors are shared values (algebra.linear_factor),
+        # so each distinct object is keyed once per case; the memo holds the
+        # object too, so its id cannot be reused while it is memoised
+        memo = {}
+
+        def key(w):
+            hit = memo.get(id(w))
+            if hit is None:
+                hit = memo[id(w)] = (w, _term_key(w))
+            return hit[1]
+
         seen = set()
         count = 0
         for t in enumerate_tableaux(kind, parts, n):
             count += 1
             pt = tableau_to_paths(t, vt)
-            ws = [[_term_key(e.weight) for e in p.edges] for p in pt.paths]
+            ws = [[key(e.weight) for e in p.edges] for p in pt.paths]
             if parts:
                 factors = tableau_factors(t, vt)
                 edge_ms = sorted(w for pw in ws for w in pw if w != unit)
-                cell_ms = sorted(w for w in map(_term_key, factors) if w != unit)
+                cell_ms = sorted(w for w in map(key, factors) if w != unit)
                 if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
                     return False, {"count": count, "reason": "weight mismatch"}
             if not pt.non_intersecting():

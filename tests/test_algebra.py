@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charq import cli
+from charq import algebra, cli
 from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
                            NonInvertibleBinding, TruncatedSeries,
                            VarTableMismatch, add_a, av, determinant,
-                           exact_div, factorial_power, monomial,
+                           exact_div, factorial_power, linear_factor, monomial,
                            permute_variables, poly_from_json, poly_to_json,
                            poly_to_obj, poly_to_text, sorted_terms, specialize,
-                           vartable, vartable_for, xbar, xv, yv)
+                           vartable, vartable_for, xbar, xv, ybar, yv)
+from charq.lattice import _edge_weight
+from charq.tableaux import Entry, cell_weight
 
 from oracles import perm_determinant
 
@@ -104,6 +106,57 @@ def test_add_a_matches_general_add(base, k, sign):
     before = dict(base.terms)
     assert add_a(base, k, sign) == base + sign * av(VT, k)
     assert base.terms == before
+
+
+# -- linear factors -----------------------------------------------------------
+
+
+def test_linear_factor_matches_uncached_build_and_is_shared():
+    vt = vartable(2, 4)
+    bases = {(None, 0): MultiPoly.one(vt)}
+    for i in (1, 2):
+        bases[vt.x_pos(i), 1] = xv(vt, i)
+        bases[vt.x_pos(i), -1] = xbar(vt, i)
+        bases[vt.y_pos(i), 1] = yv(vt, i)
+        bases[vt.y_pos(i), -1] = ybar(vt, i)
+    for (slot, exp), base in bases.items():
+        for k in range(-1, vt.a_max + 1):
+            for sign in (1, -1):
+                got = linear_factor(vt, slot, exp, k, sign)
+                assert got == add_a(base, k, sign), (slot, exp, k, sign)
+                assert linear_factor(vt, slot, exp, k, sign) is got
+
+
+def _error(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_linear_factor_range_errors_are_kept_and_not_cached():
+    vt = vartable(2, 4)
+    before = linear_factor.cache_info().currsize
+    # a_k beyond the table: raised by the constructor, as by add_a
+    assert _error(lambda: linear_factor(vt, vt.x_pos(1), 1, 5, 1)) == \
+        _error(lambda: add_a(xv(vt, 1), 5)) == \
+        (AIndexOutOfRange, "a index 5 exceeds retained range 1..4")
+    # x/y index beyond the rank: raised by the callers' x_pos/y_pos, as by xv/yv
+    x3 = _error(lambda: xv(vt, 3))
+    y3 = _error(lambda: yv(vt, 3))
+    assert x3 == (ValueError, "x index 3 out of range 1..2")
+    assert _error(lambda: cell_weight(vt, "glChar", 2, Entry(3), 1, 1)) == x3
+    assert _error(lambda: cell_weight(vt, "spQ", 2, Entry(3, primed=True), 1, 2)) == y3
+    assert _error(lambda: _edge_weight("soQ", 2, Entry(3, barred=True), 2, 1, vt)) == x3
+    assert _error(lambda: _edge_weight("glQ", 2, Entry(3, primed=True), 2, 2, vt)) == y3
+    assert _error(lambda: cell_weight(vt, "glQ", 2, Entry(1), 1, 6)) == \
+        _error(lambda: add_a(xv(vt, 1), 5))
+    assert linear_factor.cache_info().currsize == before
+
+
+def test_linear_factor_is_a_module_level_lru_cache():
+    # the benchmark clears every module attribute with cache_info per pass
+    assert vars(algebra)["linear_factor"] is linear_factor
+    assert callable(linear_factor.cache_info) and callable(linear_factor.cache_clear)
 
 
 @settings(max_examples=60)

@@ -198,6 +198,11 @@ def test_usage_errors_exit_2(capsys):
                    "--lambda", lam)[0] == 2
     assert run(capsys, "verify", "--suite", "lgv", "--kind", "glChar",
                "--n", "2", "--lambda", "2,,1")[0] == 2
+    # tableaux flags that would have no effect
+    for flags in (("--a", "zero"), ("--a", "zero", "--paths"),
+                  ("--paths", "--count"), ("--paths", "--out", "text")):
+        assert run(capsys, "tableaux", "--kind", "glQ", "--n", "2",
+                   "--lambda", "2,1", *flags)[:2] == (2, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -93,3 +93,26 @@ def test_lgv_reports_a_shifted_edge_weight_index(monkeypatch, kind):
                         real(kind, n, e, level, col + 1, vt))
     rep = suite_lgv(shapes=[(kind, (2, 1), 2)])
     assert rep.cases[0].detail == {"count": 1, "reason": "weight mismatch"}
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
+                                  "glQ", "spQ", "soQ"])
+def test_lgv_compares_factors_by_value_not_identity(monkeypatch, kind):
+    # every H, D and C weight becomes a fresh copy: equal to the shared
+    # cached factor of its cell, but a distinct object, so the multisets
+    # must match by value, without the expanded fallback
+    real = lattice._edge_weight
+
+    def copied(kind, n, e, level, col, vt):
+        w = real(kind, n, e, level, col, vt)
+        fresh = -(-w)
+        assert fresh == w and fresh is not w
+        return fresh
+
+    monkeypatch.setattr(lattice, "_edge_weight", copied)
+    expanded = []
+    monkeypatch.setattr(PathTuple, "weight",
+                        lambda self: expanded.append(1))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 2), (kind, (3, 1), 3)])
+    assert rep.ok and expanded == []
+    assert all(c.detail["count"] > 1 for c in rep.cases)
