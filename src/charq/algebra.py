@@ -84,35 +84,48 @@ class VarTable:
     """Fixed, totally ordered variable set: x-block, y-block, a-block, t.
 
     ``n`` is the rank (number of x's and of y's), ``a_max`` the highest
-    retained factorial-parameter index.  Tables with equal (n, a_max) are
-    interchangeable and compare equal.
+    retained factorial-parameter index.  Tables are interned: building one
+    with an (n, a_max) already built, as ``VarTable(n, a_max)`` or through
+    :func:`vartable`, returns the existing object, so tables compare and
+    hash by identity.
     """
 
     __slots__ = ("n", "a_max", "size", "names", "index", "t_pos",
                  "shifts", "units", "zero", "guard")
 
-    def __init__(self, n: int, a_max: int):
+    def __new__(cls, n: int, a_max: int):
+        vt = _VT_CACHE.get((n, a_max))
+        if vt is not None:
+            return vt
         if n < 1:
             raise ValueError("rank n must be >= 1")
         if a_max < 0:
             raise ValueError("a_max must be >= 0")
-        self.n = n
-        self.a_max = a_max
+        vt = object.__new__(cls)
+        vt.n = n
+        vt.a_max = a_max
         names = [f"x{i}" for i in range(1, n + 1)]
         names += [f"y{i}" for i in range(1, n + 1)]
         names += [f"a{k}" for k in range(1, a_max + 1)]
         names.append("t")
-        self.names = tuple(names)
-        self.index = {name: pos for pos, name in enumerate(names)}
-        self.size = len(names)
-        self.t_pos = self.size - 1
+        vt.names = tuple(names)
+        vt.index = {name: pos for pos, name in enumerate(names)}
+        vt.size = len(names)
+        vt.t_pos = vt.size - 1
         # packed layout: slot pos sits at shifts[pos], the degree above x1
-        self.shifts = tuple(WIDTH * (self.size - 1 - pos) for pos in range(self.size))
-        degree = 1 << (WIDTH * self.size)
-        self.units = tuple((1 << s) | degree for s in self.shifts)
-        fields = range(0, WIDTH * (self.size + 1), WIDTH)
-        self.zero = sum(BIAS << s for s in fields)
-        self.guard = sum(_GUARD << s for s in fields)
+        vt.shifts = tuple(WIDTH * (vt.size - 1 - pos) for pos in range(vt.size))
+        degree = 1 << (WIDTH * vt.size)
+        vt.units = tuple((1 << s) | degree for s in vt.shifts)
+        fields = range(0, WIDTH * (vt.size + 1), WIDTH)
+        vt.zero = sum(BIAS << s for s in fields)
+        vt.guard = sum(_GUARD << s for s in fields)
+        _VT_CACHE[(n, a_max)] = vt
+        return vt
+
+    def __reduce__(self):
+        # pickle and copy go through the constructor, so they keep the
+        # interned object
+        return (VarTable, (self.n, self.a_max))
 
     def x_pos(self, i: int) -> int:
         if not 1 <= i <= self.n:
@@ -146,23 +159,13 @@ class VarTable:
         """Dense exponent tuple of a packed key."""
         return tuple(((key >> s) & _FIELD) - BIAS for s in self.shifts)
 
-    def __eq__(self, other):
-        return isinstance(other, VarTable) and (self.n, self.a_max) == (other.n, other.a_max)
-
-    def __hash__(self):
-        return hash((self.n, self.a_max))
-
     def __repr__(self):
         return f"VarTable(n={self.n}, a_max={self.a_max})"
 
 
 def vartable(n: int, a_max: int) -> VarTable:
-    """Cached VarTable constructor; tables are immutable and shared."""
-    key = (n, a_max)
-    vt = _VT_CACHE.get(key)
-    if vt is None:
-        vt = _VT_CACHE[key] = VarTable(n, a_max)
-    return vt
+    """The interned VarTable for (n, a_max); tables are immutable and shared."""
+    return VarTable(n, a_max)
 
 
 def vartable_for(n: int, lambda1: int) -> VarTable:
@@ -220,8 +223,8 @@ class MultiPoly:
     The constructor takes dense exponent tuples (one slot per VarTable
     entry) and packs them; exponents and total degrees must lie in
     [-BIAS, BIAS), and an operation whose result leaves that range raises
-    ExponentOverflow.  Instances are never mutated after construction;
-    all operations return fresh values, so sharing across threads is safe.
+    ExponentOverflow.  Instances are never mutated after construction, so
+    they may be shared; an operation may return one of its operands.
     """
 
     __slots__ = ("vt", "terms")
@@ -273,7 +276,7 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vt == other.vt and self.terms == other.terms
+        return self.vt is other.vt and self.terms == other.terms
 
     __hash__ = None
 
@@ -283,19 +286,25 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
-        if self.vt != other.vt:
+        if self.vt is not other.vt:
             raise VarTableMismatch("operands use different variable tables")
 
     def __add__(self, other):
+        """Copies the term dict of the operand with more terms (self on a
+        tie) and loops over the other one's terms; a key whose sum cancels
+        is dropped."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vt, other)
         self._check(other)
-        if not other.terms:
+        a, b = self.terms, other.terms
+        if not b:
             return self
-        if not self.terms:
+        if not a:
             return other
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for m, c in b.items():
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -321,6 +330,12 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The outer loop runs over the terms of the operand with fewer
+        terms (other on a tie); each gives one row of products with every
+        term of the larger operand.  The first row is built in one
+        comprehension, since its keys are distinct and its coefficients
+        nonzero; later rows merge into it term by term, dropping keys that
+        cancel."""
         vt = self.vt
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -335,9 +350,12 @@ class MultiPoly:
         if len(a) < len(b):
             a, b = b, a
         zero = vt.zero
-        out: dict = {}
+        rows = iter(b.items())
+        mb, cb = next(rows)
+        off = mb - zero
+        out = {ma + off: ca * cb for ma, ca in a.items()}
         get = out.get
-        for mb, cb in b.items():
+        for mb, cb in rows:
             off = mb - zero
             for ma, ca in a.items():
                 m = ma + off
@@ -571,7 +589,7 @@ def determinant(rows, *, vt: VarTable | None = None, method: str = "auto") -> Mu
     v0 = rows[0][0].vt
     for row in rows:
         for e in row:
-            if e.vt != v0:
+            if e.vt is not v0:
                 raise VarTableMismatch("matrix entries use different variable tables")
     if method == "auto":
         method = "cofactor" if k <= COFACTOR_MAX else "bareiss"
@@ -649,7 +667,7 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
         pos = vt.index.get(name)
         if pos is None:
             raise VarTableMismatch(f"unknown variable {name!r}")
-        if b.vt != vt:
+        if b.vt is not vt:
             raise VarTableMismatch("binding value uses a different variable table")
         if any(vt.unpack(m)[pos] for m in b.terms):
             raise ValueError(f"binding for {name} must not contain {name}")
@@ -759,7 +777,7 @@ class TruncatedSeries:
         return self.coeffs[m]
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.vt != other.vt or self.order != other.order:
+        if self.vt is not other.vt or self.order != other.order:
             raise VarTableMismatch("series mismatch in mul")
         zero = MultiPoly.zero(self.vt)
         out = [zero] * (self.order + 1)

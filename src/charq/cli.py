@@ -59,9 +59,11 @@ def _emit_poly(p: MultiPoly, out: str) -> str:
 def _run_poly_command(args, kinds, routes, compute) -> int:
     if args.kind not in kinds:
         raise SpecError(f"--kind must be one of {', '.join(kinds)}")
-    methods = [m for m in args.method.split(",") if m]
-    if not methods:
-        raise SpecError("--method needs at least one route")
+    methods = args.method.split(",")
+    if "" in methods:
+        raise SpecError(f"bad --method {args.method!r}: empty route name")
+    if len(set(methods)) < len(methods):
+        raise SpecError(f"bad --method {args.method!r}: a route is named twice")
     for m in methods:
         if m not in routes:
             raise SpecError(f"--method must be chosen from {', '.join(routes)}")

@@ -1,7 +1,9 @@
 """Exact-arithmetic core: ring axioms, division, determinants, series,
 substitution, canonical serialisation."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from charq import algebra, cli
 from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
-                           NonInvertibleBinding, TruncatedSeries,
+                           NonInvertibleBinding, TruncatedSeries, VarTable,
                            VarTableMismatch, add_a, av, determinant,
                            exact_div, factorial_power, linear_factor, monomial,
                            permute_variables, poly_from_json, poly_to_json,
@@ -32,11 +34,12 @@ def _x(i, e=1):
 # -- strategies ---------------------------------------------------------------
 
 coeffs = st.integers(min_value=-9, max_value=9)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 exponents = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def polys(draw, max_terms=4, laurent=True):
+def polys(draw, max_terms=4, laurent=True, coeff=coeffs):
     n_terms = draw(st.integers(min_value=0, max_value=max_terms))
     terms = {}
     for _ in range(n_terms):
@@ -47,10 +50,24 @@ def polys(draw, max_terms=4, laurent=True):
                 if e < 0 and not (laurent and VT.is_laurent(pos)):
                     e = -e
                 mono[pos] = e
-        c = draw(coeffs)
+        c = draw(coeff)
         if c:
             terms[tuple(mono)] = c
     return MultiPoly(VT, terms)
+
+
+@st.composite
+def add_operands(draw):
+    """Two polynomials of independent sizes with int or Fraction
+    coefficients, the second holding some of the first one's monomials,
+    some of them with the negated coefficient so that they cancel."""
+    coeff = draw(st.sampled_from((coeffs, rationals)))
+    p = draw(polys(max_terms=6, coeff=coeff))
+    terms = dict(sorted_terms(draw(polys(max_terms=3, coeff=coeff))))
+    for m, c in sorted_terms(p):
+        if draw(st.booleans()):
+            terms[m] = terms.get(m, 0) + draw(st.sampled_from((-c, c)))
+    return p, MultiPoly(VT, {m: c for m, c in terms.items() if c})
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -78,6 +95,43 @@ def test_vartable_mismatch_raises():
     other = vartable(2, 4)
     with pytest.raises(VarTableMismatch):
         xv(VT, 1) + xv(other, 1)
+
+
+def _tuple_sum(p, q):
+    """Reference sum on dense exponent tuples."""
+    out = dict(sorted_terms(p))
+    for m, c in sorted_terms(q):
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@given(add_operands())
+def test_add_matches_tuple_reference(operands):
+    p, q = operands
+    before = dict(p.terms), dict(q.terms)
+    expected = _tuple_sum(p, q)
+    for total in (p + q, q + p):
+        assert dict(sorted_terms(total)) == expected
+        assert all(total.terms.values())        # no zero coefficient stored
+    # neither operand is updated in place
+    assert (p.terms, q.terms) == before
+
+
+def test_vartables_are_interned_and_compared_by_identity():
+    assert VarTable(2, 3) is vartable(2, 3)
+    assert VarTable(2, 3) is not vartable(2, 4)
+    assert VarTable.__eq__ is object.__eq__
+    assert VarTable.__hash__ is object.__hash__
+    vt = vartable(2, 3)
+    assert pickle.loads(pickle.dumps(vt)) is vt
+    assert copy.copy(vt) is vt and copy.deepcopy(vt) is vt
+    p = xv(vt, 1) + 1
+    assert copy.deepcopy(p) == p and copy.deepcopy(p).vt is vt
+    for n, a_max in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            VarTable(n, a_max)
+    with pytest.raises(VarTableMismatch):
+        xv(VarTable(3, 4), 1) * xv(vartable(3, 5), 1)
 
 
 def test_add_a_ignores_nonpositive_index():
@@ -151,6 +205,16 @@ def test_linear_factor_range_errors_are_kept_and_not_cached():
     assert _error(lambda: cell_weight(vt, "glQ", 2, Entry(1), 1, 6)) == \
         _error(lambda: add_a(xv(vt, 1), 5))
     assert linear_factor.cache_info().currsize == before
+
+
+def test_directly_built_table_hits_the_same_linear_factor_entry():
+    vt = vartable(2, 4)
+    first = linear_factor(vt, vt.x_pos(1), 1, 2, 1)
+    before = linear_factor.cache_info()
+    assert linear_factor(VarTable(2, 4), vt.x_pos(1), 1, 2, 1) is first
+    after = linear_factor.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.currsize == before.currsize
 
 
 def test_linear_factor_is_a_module_level_lru_cache():
@@ -494,6 +558,19 @@ def test_product_crossing_bottom_of_range_raises():
         _x(1, -BIAS) * _x(1, -1)
     with pytest.raises(ExponentOverflow):
         _x(1, -BIAS) * (_x(2) + _x(1, -1))
+
+
+def test_product_overflowing_only_in_the_first_row_raises():
+    # the first term of the smaller operand gives the first row of products
+    p = _x(1, BIAS - 1) + _x(2) + _x(3)
+    x1, x2_inv = [0] * VT.size, [0] * VT.size
+    x1[VT.x_pos(1)], x2_inv[VT.x_pos(2)] = 1, -1
+    q = MultiPoly(VT, {tuple(x1): 1, tuple(x2_inv): 1})
+    assert next(iter(q.terms)) == next(iter(_x(1).terms))
+    assert (p * _x(2, -1)).n_terms() == 3       # the second row fits
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ExponentOverflow):
+            a * b
 
 
 def test_product_overflowing_only_the_total_degree_raises():

@@ -198,6 +198,14 @@ def test_usage_errors_exit_2(capsys):
                    "--lambda", lam)[0] == 2
     assert run(capsys, "verify", "--suite", "lgv", "--kind", "glChar",
                "--n", "2", "--lambda", "2,,1")[0] == 2
+    # an empty or repeated route name is refused, not dropped or run twice
+    for cmd, kind, methods in (("char", "gl", "jt,"), ("char", "gl", ",jt"),
+                               ("char", "gl", ""), ("char", "gl", "jt,jt"),
+                               ("char", "gl", "jt,tab,jt"),
+                               ("qfun", "glQ", "tab,,det"),
+                               ("qfun", "glQ", "det,det")):
+        assert run(capsys, cmd, "--kind", kind, "--n", "2", "--lambda", "1",
+                   "--method", methods)[:2] == (2, "")
     # tableaux flags that would have no effect
     for flags in (("--a", "zero"), ("--a", "zero", "--paths"),
                   ("--paths", "--count"), ("--paths", "--out", "text")):
