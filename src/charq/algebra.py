@@ -195,6 +195,13 @@ def _cdiv(a, b):
     return Fraction(a) / Fraction(b)
 
 
+def _canon_coeff(c):
+    """A coefficient as stored: an integral Fraction becomes its int."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 def _check_keys(vt: VarTable, keys) -> None:
     """Raise ExponentOverflow if a key formed by adding a field-wise offset
     below 2*BIAS in magnitude to a valid key (as a product of two valid
@@ -221,10 +228,12 @@ class MultiPoly:
     monomial, total-degree field on top, then x1 .. t, each field biased
     by BIAS with a clear guard bit) to nonzero int/Fraction coefficients.
     The constructor takes dense exponent tuples (one slot per VarTable
-    entry) and packs them; exponents and total degrees must lie in
-    [-BIAS, BIAS), and an operation whose result leaves that range raises
-    ExponentOverflow.  Instances are never mutated after construction, so
-    they may be shared; an operation may return one of its operands.
+    entry) and packs them, dropping zero coefficients and storing an
+    integral Fraction as its int, as every other constructor does;
+    exponents and total degrees must lie in [-BIAS, BIAS), and an
+    operation whose result leaves that range raises ExponentOverflow.
+    Instances are never mutated after construction, so they may be
+    shared; an operation may return one of its operands.
     """
 
     __slots__ = ("vt", "terms")
@@ -232,7 +241,7 @@ class MultiPoly:
     def __init__(self, vt: VarTable, terms: dict):
         self.vt = vt
         pack = vt.pack
-        self.terms = {pack(m): c for m, c in terms.items()}
+        self.terms = {pack(m): _canon_coeff(c) for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -242,11 +251,9 @@ class MultiPoly:
 
     @classmethod
     def const(cls, vt: VarTable, c) -> "MultiPoly":
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
         if c == 0:
             return _poly(vt, {})
-        return _poly(vt, {vt.zero: c})
+        return _poly(vt, {vt.zero: _canon_coeff(c)})
 
     @classmethod
     def one(cls, vt: VarTable) -> "MultiPoly":
@@ -392,8 +399,6 @@ class MultiPoly:
 
 def monomial(vt: VarTable, coeff, exps: dict[str, int] | None = None) -> MultiPoly:
     """Build a single-term polynomial from a name->exponent map."""
-    if isinstance(coeff, Fraction) and coeff.denominator == 1:
-        coeff = coeff.numerator
     if coeff == 0:
         return MultiPoly.zero(vt)
     mono = [0] * vt.size
@@ -861,16 +866,13 @@ def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
     for t in obj["terms"]:
         num, _, den = t["c"].partition("/")
         coeff = Fraction(int(num), int(den or "1"))
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
         mono = [0] * vt.size
         for name, e in t["e"].items():
             pos = vt.index.get(name)
             if pos is None:
                 raise VarTableMismatch(f"unknown variable {name!r}")
             mono[pos] = int(e)
-        if coeff:
-            terms[tuple(mono)] = coeff
+        terms[tuple(mono)] = coeff
     return MultiPoly(vt, terms)
 
 

@@ -10,6 +10,14 @@ factorial parameters a_k:
   cancels between numerator and denominator).
 * ``char_hdet``          -- ratio of determinants of one-variable
   complete-homogeneous analogues.
+
+  Both ratios are taken by divided differences: the numerator's rows are
+  divided exactly by the Weyl-denominator factors (``ratio_factors``)
+  and the reduced matrix's determinant is the result, so the expanded
+  numerator is never divided.  The result is |num|/|den| exactly: the
+  denominator determinant is built from its own matrix and checked equal
+  to the product of those factors (AlgebraError otherwise), and every
+  entry division must leave no remainder (NonExactDivision otherwise).
 * ``char_flagged_jt``    -- flagged Jacobi-Trudi determinant, division
   free; the default route.
 * ``char_combinatorial`` -- weighted sum over the kind's tableaux.
@@ -18,18 +26,20 @@ factorial parameters a_k:
 over the flagged alphabet x_d..x_n; ``one_part_expansion`` is the closed
 multi-index sum for one-row shapes.
 
-Everything here is a pure function of immutable values.  The one h cache
-is keyed by (kind, m, alphabet range, table), so a cached value is the
-value a fresh computation would give.
+Everything here is a pure function of immutable values.  The h cache is
+keyed by (kind, m, alphabet range, table) and the checked ratio
+denominators by (kind, table, route), so a cached value is the value a
+fresh computation would give.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
-from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, add_a, av,
-                      check_a_range, determinant, exact_div, factorial_power,
-                      gf_coeff, xbar, xv)
+from .algebra import (AIndexOutOfRange, AlgebraError, MultiPoly, VarTable,
+                      add_a, av, check_a_range, determinant, exact_div,
+                      factorial_power, gf_coeff, xbar, xv)
 from .tableaux import check_shape, tableau_weight_sum
 
 GROUP_KINDS = ("gl", "sp", "so")
@@ -92,10 +102,12 @@ def h_one_var(kind: str, m: int, i: int, vt: VarTable) -> MultiPoly:
     return _h(kind, m, i, i, vt)
 
 
-# -- route 1: defining determinant ratio ------------------------------------
+# -- routes 1 and 2: determinant ratios by divided differences ----------------
 
 
-def _def_entry(kind: str, i: int, m: int, vt: VarTable) -> MultiPoly:
+def _def_entry(kind: str, m: int, i: int, vt: VarTable) -> MultiPoly:
+    """Entry of the defining determinants: the shifted power of order m in
+    x_i, antisymmetrised for sp/so; arguments in ``h_one_var``'s order."""
     if kind == "gl":
         return factorial_power(vt, i, m)
     fp = factorial_power(vt, i, m)
@@ -108,29 +120,96 @@ def _def_entry(kind: str, i: int, m: int, vt: VarTable) -> MultiPoly:
     return xv(vt, i) * fp - fp_bar
 
 
-def _det_ratio(kind: str, lam, vt: VarTable, entry) -> MultiPoly:
-    """|entry(i, lam_j + n - j)| / |entry(i, n - j)|; the division is exact
-    because the quotient is the character (NonExactDivision would signal
-    an implementation fault)."""
+_RATIO_ENTRIES = {"def": _def_entry, "hdet": h_one_var}
+
+
+def weyl_factor(kind: str, a: int, b: int, vt: VarTable) -> MultiPoly:
+    """p(a, b) = x_a - x_b for gl and (x_a - x_b)(1 - xbar_a xbar_b) =
+    (x_a + xbar_a) - (x_b + xbar_b) for sp/so: the factor of the Weyl
+    denominator for the pair a < b, and of the h difference relation."""
+    p = xv(vt, a) - xv(vt, b)
+    if kind != "gl":
+        p = p * (MultiPoly.one(vt) - xbar(vt, a) * xbar(vt, b))
+    return p
+
+
+def ratio_factors(kind: str, vt: VarTable, route: str):
+    """The Weyl-denominator factors of a ratio route's denominator
+    |entry(n - j, i)|, as (row scales, pair factors).
+
+    The row scales, one per row, are those of the defining route:
+    x_i - xbar_i for sp and x_i - 1 for so (empty for gl and for hdet,
+    whose one-variable entries are already row-scaled).  The pair factors
+    are p(a, b) = ``weyl_factor(kind, a, b, vt)``, keyed by (a, b) with
+    a < b.  The denominator is their product, sign included.
+    """
+    one = MultiPoly.one(vt)
+    scales = []
+    if route == "def" and kind != "gl":
+        scales = [xv(vt, i) - (xbar(vt, i) if kind == "sp" else one)
+                  for i in range(1, vt.n + 1)]
+    pairs = {(a, b): weyl_factor(kind, a, b, vt)
+             for a in range(1, vt.n + 1) for b in range(a + 1, vt.n + 1)}
+    return scales, pairs
+
+
+@lru_cache(maxsize=None)
+def _ratio_denominator(kind: str, vt: VarTable, route: str):
+    """``ratio_factors`` of the route, checked: the denominator
+    determinant, built from the route's own matrix |entry(n - j, i)|, must
+    equal their product, else AlgebraError.  Cached per (kind, table,
+    route), so per n; an error leaves no entry."""
+    n = vt.n
+    entry = _RATIO_ENTRIES[route]
+    den = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
+                       for i in range(1, n + 1)], vt=vt)
+    scales, pairs = ratio_factors(kind, vt, route)
+    if den != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
+        raise AlgebraError(f"{route} denominator of kind {kind!r}, n={n} is "
+                           "not the product of its Weyl factors")
+    return scales, pairs
+
+
+def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
+    """|entry(lam_j + n - j, i)| / |entry(n - j, i)|, exactly.
+
+    The expanded numerator is never divided.  Each numerator row i is a
+    function of x_i alone (of x_i + xbar_i for sp/so once row-scaled), so
+    the quotient is the determinant of its Newton divided differences:
+    divide row i by its row scale, then for k = 1..n-1 and i = n down to
+    k+1 replace R_i by (R_i - R_{i-1}) / p(i-k, i).  Subtracting rows
+    keeps the determinant, and every pair (a, b), a < b, divides exactly
+    one row once, so |R| = |num| / (row scales * prod p) = |num| / |den|,
+    the factors' orientation matching the denominator's sign.  The
+    factors come from ``_ratio_denominator``, which checks their product
+    against the denominator determinant (AlgebraError on a mismatch); each
+    entry division is exact_div, so a remainder raises NonExactDivision.
+    """
     parts = _check_partition(kind, lam, vt)
     n = vt.n
     full = _padded(parts, n)
-    num = [[entry(i, full[j - 1] + n - j) for j in range(1, n + 1)]
-           for i in range(1, n + 1)]
-    den = [[entry(i, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return exact_div(determinant(num, vt=vt), determinant(den, vt=vt))
+    scales, pairs = _ratio_denominator(kind, vt, route)
+    entry = _RATIO_ENTRIES[route]
+    rows = [[entry(kind, full[j - 1] + n - j, i, vt) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+    for row, s in zip(rows, scales):
+        row[:] = [exact_div(e, s) for e in row]
+    for k in range(1, n):
+        for i in range(n, k, -1):
+            p = pairs[i - k, i]
+            rows[i - 1] = [exact_div(e - f, p)
+                           for e, f in zip(rows[i - 1], rows[i - 2])]
+    return determinant(rows, vt=vt)
 
 
 def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Ratio of the two defining determinants."""
-    return _det_ratio(kind, lam, vt, lambda i, m: _def_entry(kind, i, m, vt))
-
-
-# -- route 2: one-variable h determinant ratio -------------------------------
+    return _det_ratio(kind, lam, vt, "def")
 
 
 def char_hdet(kind: str, lam, vt: VarTable) -> MultiPoly:
-    return _det_ratio(kind, lam, vt, lambda i, m: h_one_var(kind, m, i, vt))
+    """Ratio of determinants of one-variable h values."""
+    return _det_ratio(kind, lam, vt, "hdet")
 
 
 # -- route 3: flagged Jacobi-Trudi determinant -------------------------------

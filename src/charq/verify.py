@@ -17,7 +17,8 @@ from operator import mul
 from .algebra import (MultiPoly, add_a, determinant, vartable_for, xbar, xv,
                       ybar, yv)
 from .characters import (CHAR_ROUTES, GROUP_KINDS, _def_entry, h_factorial,
-                         h_one_var, h_range, one_part_expansion)
+                         h_one_var, h_range, one_part_expansion,
+                         ratio_factors, weyl_factor)
 from .lattice import tableau_to_paths
 from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
@@ -196,10 +197,7 @@ def _h_diff_case(kind, n, i, j, m):
     def thunk():
         vt = vartable_for(n, m)
         lhs = h_range(kind, m, i, j - 1, vt) - h_range(kind, m, i + 1, j, vt)
-        factor = xv(vt, i) - xv(vt, j)
-        if kind in ("sp", "so"):
-            factor = factor * (MultiPoly.one(vt) - xbar(vt, i) * xbar(vt, j))
-        rhs = factor * h_range(kind, m - 1, i, j, vt)
+        rhs = weyl_factor(kind, i, j, vt) * h_range(kind, m - 1, i, j, vt)
         return lhs == rhs, {}
 
     return inputs, thunk
@@ -233,27 +231,14 @@ def _h_denominator_case(kind, n):
 
     def thunk():
         vt = vartable_for(n, 0 if kind == "gl" else 1)
-        hd = determinant([[h_one_var(kind, n - j, i, vt) for j in range(1, n + 1)]
-                          for i in range(1, n + 1)], vt=vt)
-        expect = MultiPoly.one(vt)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                expect = expect * (xv(vt, i) - xv(vt, j))
-                if kind in ("sp", "so"):
-                    expect = expect * (MultiPoly.one(vt)
-                                       - xbar(vt, i) * xbar(vt, j))
-        ok = hd == expect
-        # the defining denominator differs by the per-row scaling factor
-        dd = determinant([[_def_entry(kind, i, n - j, vt) for j in range(1, n + 1)]
-                          for i in range(1, n + 1)], vt=vt)
-        scale = MultiPoly.one(vt)
-        for i in range(1, n + 1):
-            if kind == "sp":
-                scale = scale * (xv(vt, i) - xbar(vt, i))
-            elif kind == "so":
-                scale = scale * (xv(vt, i) - MultiPoly.one(vt))
-        ok = ok and dd == scale * expect
-        return ok, {}
+        # the product of the pair factors, times the row scales for def
+        for route, entry in (("hdet", h_one_var), ("def", _def_entry)):
+            scales, pairs = ratio_factors(kind, vt, route)
+            det = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
+                               for i in range(1, n + 1)], vt=vt)
+            if det != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
+                return False, {}
+        return True, {}
 
     return inputs, thunk
 

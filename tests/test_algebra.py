@@ -500,6 +500,20 @@ def test_monomial_constructor_guards():
         monomial(VT, 1, {"zz": 1})
 
 
+def test_constructor_drops_zeros_and_stores_integral_fractions_as_int():
+    vt = vartable(1, 0)
+    zero = MultiPoly(vt, {(1, 0, 0): 0})
+    assert zero.is_zero() and not zero.terms
+    assert zero == MultiPoly.zero(vt)
+    assert poly_to_json(zero) == poly_to_json(MultiPoly.zero(vt))
+    assert MultiPoly(vt, {(1, 0, 0): Fraction(0, 3)}).is_zero()
+    mixed = MultiPoly(vt, {(1, 0, 0): Fraction(4, 2), (0, 0, 0): 0,
+                           (0, 1, 0): Fraction(1, 2)})
+    assert mixed == 2 * xv(vt, 1) + Fraction(1, 2) * yv(vt, 1)
+    assert sorted(map(type, mixed.terms.values()), key=str) == [Fraction, int]
+    assert poly_to_text(mixed) == "2 * x1 + 1/2 * y1"
+
+
 def test_vartable_for_sizing():
     vt = vartable_for(2, 3)
     assert vt.n == 2 and vt.a_max == 3 + 4

@@ -2,13 +2,16 @@
 
 import pytest
 
-from charq.algebra import (AIndexOutOfRange, MultiPoly, av, exact_div,
+from charq import characters
+from charq.algebra import (AIndexOutOfRange, AlgebraError, MultiPoly,
+                           NonExactDivision, av, determinant, exact_div,
                            factorial_power, permute_variables, specialize,
                            vartable_for, xbar, xv)
-from charq.characters import (char_combinatorial, char_definitional,
+from charq.characters import (_def_entry, _ratio_denominator,
+                              char_combinatorial, char_definitional,
                               char_flagged_jt, char_hdet, character,
                               h_factorial, h_one_var, h_range,
-                              one_part_expansion)
+                              one_part_expansion, ratio_factors, weyl_factor)
 from charq.partitions import enumerate_partitions
 
 from oracles import perm_determinant
@@ -206,7 +209,6 @@ def test_gl_recursion_in_last_variable():
 
 
 def test_gl_denominator_is_vandermonde():
-    from charq.algebra import determinant
     for n in (2, 3):
         vt = vartable_for(n, 0)
         det = determinant([[h_one_var("gl", n - j, i, vt)
@@ -221,8 +223,6 @@ def test_gl_denominator_is_vandermonde():
 
 @pytest.mark.parametrize("kind", ["sp", "so"])
 def test_sp_so_denominator_closed_form(kind):
-    from charq.algebra import determinant
-    from charq.characters import _def_entry
     for n in (2, 3):
         vt = vartable_for(n, 1)
         det = determinant([[h_one_var(kind, n - j, i, vt)
@@ -234,7 +234,7 @@ def test_sp_so_denominator_closed_form(kind):
                 expect = expect * (xv(vt, i) - xv(vt, j)) * \
                     (MultiPoly.one(vt) - xbar(vt, i) * xbar(vt, j))
         assert det == expect
-        ddet = determinant([[_def_entry(kind, i, n - j, vt)
+        ddet = determinant([[_def_entry(kind, n - j, i, vt)
                              for j in range(1, n + 1)]
                             for i in range(1, n + 1)], vt=vt)
         scale = MultiPoly.one(vt)
@@ -274,3 +274,103 @@ def test_classical_limit_gl_bialternant():
             classical = exact_div(perm_determinant(num, vt),
                                   perm_determinant(den, vt))
             assert _zero_a(char_flagged_jt("gl", lam, vt), vt) == classical
+
+
+# -- determinant ratios by divided differences ----------------------------------
+
+
+def _ratio_by_expansion(kind, lam, vt, entry):
+    """|entry(lam_j + n - j, x_i)| / |entry(n - j, x_i)| by dividing the
+    expanded determinants."""
+    n = vt.n
+    full = tuple(lam) + (0,) * (n - len(lam))
+    num = [[entry(kind, full[j - 1] + n - j, i, vt) for j in range(1, n + 1)]
+           for i in range(1, n + 1)]
+    den = [[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
+           for i in range(1, n + 1)]
+    return exact_div(determinant(num, vt=vt), determinant(den, vt=vt))
+
+
+RATIO_SHAPES = ([(n, lam.parts) for n in (1, 2, 3)
+                 for lam in enumerate_partitions(2, n)]
+                + [(4, (1,)), (4, (2, 1)), (4, (1, 1, 1, 1))])
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+@pytest.mark.parametrize("n,lam", RATIO_SHAPES, ids=str)
+def test_ratio_routes_equal_the_expanded_quotient(kind, n, lam):
+    vt = vartable_for(n, lam[0] if lam else 0)
+    assert char_definitional(kind, lam, vt) == \
+        _ratio_by_expansion(kind, lam, vt, _def_entry)
+    assert char_hdet(kind, lam, vt) == \
+        _ratio_by_expansion(kind, lam, vt, h_one_var)
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_four_routes_agree_at_n4_2211(kind):
+    vt = vartable_for(4, 2)
+    lam = (2, 2, 1, 1)
+    jt = char_flagged_jt(kind, lam, vt)
+    assert char_definitional(kind, lam, vt) == jt
+    assert char_hdet(kind, lam, vt) == jt
+    assert char_combinatorial(kind, lam, vt) == jt
+
+
+@pytest.fixture
+def fresh_ratio_cache():
+    _ratio_denominator.cache_clear()
+    yield _ratio_denominator
+    _ratio_denominator.cache_clear()
+
+
+def test_ratio_denominator_cache_is_a_cleared_lru_cache(fresh_ratio_cache):
+    cache = fresh_ratio_cache
+    vt = vartable_for(2, 2)
+    char_definitional("sp", (2, 1), vt)
+    char_definitional("sp", (1,), vt)
+    char_hdet("sp", (2,), vt)
+    info = cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
+
+
+def _flipped(kind, a, b, vt):
+    return -weyl_factor(kind, a, b, vt)
+
+
+def _without_second_factor(kind, a, b, vt):
+    return xv(vt, a) - xv(vt, b)
+
+
+def _without_row_scales(kind, vt, route):
+    return [], ratio_factors(kind, vt, route)[1]
+
+
+@pytest.mark.parametrize("route,kind,name,fake", [
+    (char_definitional, "gl", "weyl_factor", _flipped),
+    (char_hdet, "sp", "weyl_factor", _flipped),
+    (char_definitional, "sp", "weyl_factor", _without_second_factor),
+    (char_hdet, "so", "weyl_factor", _without_second_factor),
+    (char_definitional, "sp", "ratio_factors", _without_row_scales),
+    (char_definitional, "so", "ratio_factors", _without_row_scales),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_wrong_or_missing_factor_raises(fresh_ratio_cache, monkeypatch,
+                                        route, kind, name, fake):
+    monkeypatch.setattr(characters, name, fake)
+    with pytest.raises(AlgebraError):
+        route(kind, (2, 1), vartable_for(2, 2))
+    assert fresh_ratio_cache.cache_info().currsize == 0
+
+
+def test_misplaced_factor_fails_an_entry_division(fresh_ratio_cache,
+                                                  monkeypatch):
+    # the product still equals the denominator, so only the division by
+    # the factor of the wrong row can catch it
+    def misplaced(kind, vt, route):
+        (s1, s2), pairs = ratio_factors(kind, vt, route)
+        return [s1 * s2, MultiPoly.one(vt)], pairs
+
+    monkeypatch.setattr(characters, "ratio_factors", misplaced)
+    with pytest.raises(NonExactDivision):
+        char_definitional("sp", (2, 1), vartable_for(2, 2))
