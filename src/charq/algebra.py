@@ -860,6 +860,9 @@ def poly_to_json(p: MultiPoly) -> str:
 
 
 def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
+    """Inverse of poly_to_obj.  Refuses what poly_to_obj never writes and
+    the constructors never build: a negative exponent on an a or t
+    variable, and a monomial listed twice (ValueError)."""
     if list(obj.get("vars", [])) != list(vt.names):
         raise VarTableMismatch("serialised variable list does not match table")
     terms = {}
@@ -872,7 +875,12 @@ def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
             if pos is None:
                 raise VarTableMismatch(f"unknown variable {name!r}")
             mono[pos] = int(e)
-        terms[tuple(mono)] = coeff
+            if mono[pos] < 0 and not vt.is_laurent(pos):
+                raise ValueError("negative exponents are allowed only on x/y variables")
+        mono = tuple(mono)
+        if mono in terms:
+            raise ValueError(f"monomial {t['e']} is listed twice")
+        terms[mono] = coeff
     return MultiPoly(vt, terms)
 
 

@@ -26,7 +26,7 @@ import sys
 from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_obj,
                       poly_to_text, vartable_for)
 from .characters import CHAR_ROUTES, GROUP_KINDS, character
-from .lattice import tableau_to_paths
+from .lattice import paths_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
 from .tableaux import ALL_KINDS, check_shape, enumerate_tableaux
 from .verify import SUITE_TABLE, SUITES, run_suite
@@ -119,15 +119,16 @@ def cmd_tableaux(args) -> int:
         print(sum(1 for _ in enumerate_tableaux(args.kind, parts, args.n)))
         return 0
     vt = vartable_for(args.n, parts[0] if parts else 0)
+    # edge texts of this command's stream, shared across its tableaux
+    memo = {}
     for t in enumerate_tableaux(args.kind, parts, args.n):
         if args.out == "text":
             print(" / ".join(" ".join(e.token for e in row) for row in t.rows)
                   or "(empty)")
-            continue
-        obj = t.to_obj()
-        if args.paths:
-            obj = {"tableau": obj, "paths": tableau_to_paths(t, vt).to_obj()}
-        print(json.dumps(obj, separators=(",", ":")))
+        elif args.paths:
+            print(paths_line(t, vt, memo))
+        else:
+            print(json.dumps(t.to_obj(), separators=(",", ":")))
     return 0
 
 

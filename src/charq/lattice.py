@@ -27,10 +27,22 @@ read their index k off the step's lattice position, not off the cell
 the two factor multisets, checks two independent statements of the
 weights; it multiplies both sides out only when the multisets differ,
 where the products decide exactly.
+
+The JSON text of a path tuple and of one ``tableaux --paths`` line is laid
+out here and nowhere else: ``paths_line`` writes the compact
+``json.dumps`` of ``{"tableau": t.to_obj(), "paths": <tuple>.to_obj()}``
+byte for byte, but takes each edge's and each path's text from a memo the
+caller holds.  Edges repeat heavily across a family (equal endpoints, type
+and shared cached weight), so an edge is encoded once per key ``(frm, to,
+kind, id(weight))``; its entry keeps the weight alive, so the id cannot be
+reused while memoised.  The memo lives as long as the caller keeps it (one
+``tableaux`` command); nothing is cached at module level, so
+``tableau_to_paths`` still builds, weighs and validates every tableau.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .algebra import MultiPoly, VarTable, linear_factor, poly_to_obj
@@ -55,6 +67,14 @@ class Edge:
 
 def _halve(row2: int):
     return row2 // 2 if row2 % 2 == 0 else row2 / 2
+
+
+# json.dumps(obj, separators=(",", ":")) without a new encoder per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _point_json(p: tuple[int, int]) -> str:
+    return _dumps([_halve(p[0]), p[1]])
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,31 @@ class PathTuple:
     def to_obj(self) -> dict:
         return {"kind": self.kind, "shape": list(self.shape), "n": self.n,
                 "paths": [p.to_obj() for p in self.paths]}
+
+    def to_json(self, memo: dict) -> str:
+        """``_dumps(self.to_obj())``, with each edge's and each path's text
+        taken from ``memo`` (filled here, held by the caller) once it was
+        encoded.  An edge is keyed by (frm, to, kind, id(weight)) and its
+        entry holds the weight, so the id stays its own; a path is keyed by
+        its endpoints and the keys of its edges, whose entries come first."""
+        paths = []
+        for p in self.paths:
+            keys = tuple((e.frm, e.to, e.kind, id(e.weight)) for e in p.edges)
+            pkey = (p.start, p.end, keys)
+            text = memo.get(pkey)
+            if text is None:
+                edges = []
+                for key, e in zip(keys, p.edges):
+                    hit = memo.get(key)
+                    if hit is None:
+                        hit = memo[key] = (e.weight, _dumps(e.to_obj()))
+                    edges.append(hit[1])
+                text = memo[pkey] = (f'{{"start":{_point_json(p.start)},'
+                                     f'"end":{_point_json(p.end)},'
+                                     f'"edges":[{",".join(edges)}]}}')
+            paths.append(text)
+        return (f'{{"kind":{_dumps(self.kind)},"shape":{_dumps(list(self.shape))},'
+                f'"n":{self.n},"paths":[{",".join(paths)}]}}')
 
     def weight(self) -> MultiPoly:
         out = None
@@ -200,3 +245,11 @@ def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
         _drop(edges, level, col, bottom, one)
         paths.append(Path(start, (2 * bottom, col), tuple(edges)))
     return PathTuple(kind, n, t.shape, tuple(paths))
+
+
+def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
+    """One line of the ``tableaux --paths`` stream: exactly
+    ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
+    with edge texts shared through ``memo`` (see ``PathTuple.to_json``)."""
+    return (f'{{"tableau":{_dumps(t.to_obj())},'
+            f'"paths":{tableau_to_paths(t, vt).to_json(memo)}}}')

@@ -329,13 +329,12 @@ def _qtilde_recursion_case(n, r, s, m):
         us = [xv(vt, (k % n) + 1) for k in range(r)]
         vs = [yv(vt, (k % n) + 1) for k in range(s)]
         ok = True
+        lhs = qtilde(m, us, vs, vt)
         if r >= 1:
-            lhs = qtilde(m, us, vs, vt)
             rhs = qtilde(m, us[:-1], vs, vt) + \
                 add_a(us[-1], m + r - s - 1) * qtilde(m - 1, us, vs, vt)
             ok = lhs == rhs
         if s >= 1:
-            lhs = qtilde(m, us, vs, vt)
             rhs = qtilde(m, us, vs[:-1], vt) + \
                 add_a(vs[-1], m + r - s, sign=-1) * qtilde(m - 1, us, vs[:-1], vt)
             ok = ok and lhs == rhs

@@ -16,9 +16,10 @@ from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            NonInvertibleBinding, TruncatedSeries, VarTable,
                            VarTableMismatch, add_a, av, determinant,
                            exact_div, factorial_power, linear_factor, monomial,
-                           permute_variables, poly_from_json, poly_to_json,
-                           poly_to_obj, poly_to_text, sorted_terms, specialize,
-                           vartable, vartable_for, xbar, xv, ybar, yv)
+                           permute_variables, poly_from_json, poly_from_obj,
+                           poly_to_json, poly_to_obj, poly_to_text,
+                           sorted_terms, specialize, vartable, vartable_for,
+                           xbar, xv, ybar, yv)
 from charq.lattice import _edge_weight
 from charq.tableaux import Entry, cell_weight
 
@@ -479,6 +480,30 @@ def test_json_round_trip_and_canonical_order():
         assert Fraction(int(num), int(den)) == Fraction(int(num), int(den))
     # graded-lex, leading first: degree-2 x1 term precedes the others
     assert obj["terms"][0]["e"] == {"x1": 2}
+
+
+@pytest.mark.parametrize("name", ["t", "a1"])
+def test_poly_from_obj_refuses_negative_non_laurent_exponent(name):
+    vt = vartable(1, 1)
+    obj = {"vars": list(vt.names), "terms": [{"c": "1/1", "e": {name: -1}}]}
+    with pytest.raises(ValueError, match="only on x/y"):
+        poly_from_obj(vt, obj)
+    # the same exponent on a Laurent variable is a valid serialisation
+    obj["terms"][0]["e"] = {"x1": -1}
+    assert poly_from_obj(vt, obj) == xbar(vt, 1)
+
+
+def test_poly_from_obj_refuses_a_repeated_monomial():
+    vt = vartable(1, 0)
+    obj = {"vars": list(vt.names), "terms": [{"c": "1/1", "e": {"x1": 1}},
+                                             {"c": "2/1", "e": {"x1": 1}}]}
+    with pytest.raises(ValueError, match="listed twice"):
+        poly_from_obj(vt, obj)
+    # a zero exponent names the same monomial as its omission
+    obj["terms"][1]["e"] = {"t": 0}
+    obj["terms"][0]["e"] = {}
+    with pytest.raises(ValueError, match="listed twice"):
+        poly_from_obj(vt, obj)
 
 
 def test_json_bytes_stable():

@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from charq import lattice
+from charq.algebra import vartable_for
 from charq.cli import main
+from charq.partitions import enumerate_partitions
+from charq.tableaux import ALL_KINDS, Q_KINDS, enumerate_tableaux
 
 
 def run(capsys, *argv):
@@ -133,6 +137,10 @@ _PATH_DIGESTS = {
         "6848a90a7c408aa907dd8578cae4ebb6ac13101c639a2e7bbc528c9997bfaf5f",
     ("soQ", "3,1", "2"):
         "a4bf491c5b029bc9d5ebfbab80a3b3c21d2f9fbc55371fd01298f861d566bc62",
+    ("soQ", "3,2,1", "3"):
+        "268692ce40c0e18daf6514580e18028ef050ea1e63d252005bfca0ae3a09d540",
+    ("spQ", "3,1", "3"):
+        "081fd6a41e67afebfed708ee115c151a270cf51f094484de50970a8124e3854b",
 }
 
 
@@ -143,6 +151,58 @@ def test_tableaux_paths_bytes_pinned(capsys, kind, lam, n):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == _PATH_DIGESTS[(kind, lam, n)]
+
+
+def _reference_lines(kind, parts, n):
+    """The --paths stream as the compact dump of each tableau's and path
+    tuple's reference objects."""
+    vt = vartable_for(n, parts[0] if parts else 0)
+    return [json.dumps({"tableau": t.to_obj(),
+                        "paths": lattice.tableau_to_paths(t, vt).to_obj()},
+                       separators=(",", ":"))
+            for t in enumerate_tableaux(kind, parts, n)]
+
+
+# every family at n <= 3, |shape| <= 3: Q shapes whose curved starts share
+# geometry (x_k vs y_k), sp/so starts at half-integer levels, and character
+# shapes with empty rows (fewer parts than n, the empty shape included)
+_LINE_GRID = [(kind, lam.parts, n)
+              for kind in ALL_KINDS for n in (1, 2, 3)
+              for lam in enumerate_partitions(3, n, strict=kind in Q_KINDS)
+              if lam.size <= 3]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_tableaux_paths_lines_match_reference_objects(capsys, kind):
+    shapes = [(p, n) for k, p, n in _LINE_GRID if k == kind]
+    assert any(len(p) < n for p, n in shapes)
+    for parts, n in shapes:
+        code, out, _ = run(capsys, "tableaux", "--kind", kind, "--lambda",
+                           ",".join(map(str, parts)), "--n", str(n), "--paths")
+        assert code == 0
+        assert out.splitlines() == _reference_lines(kind, parts, n), (parts, n)
+
+
+def test_tableaux_paths_memo_lives_for_one_command(capsys, monkeypatch):
+    # commands in one process, at another n and then repeated, print what
+    # separate processes printed when the digests were pinned
+    for key in [("soChar", "2,1", "2"), ("soChar", "2,2", "3"),
+                ("soChar", "2,1", "2"), ("spQ", "2,1", "2")]:
+        kind, lam, n = key
+        _, out, _ = run(capsys, "tableaux", "--kind", kind, "--lambda", lam,
+                        "--n", n, "--paths")
+        assert hashlib.sha256(out.encode()).hexdigest() == _PATH_DIGESTS[key]
+    # an edge weight function changed between two commands shows in the
+    # second: no edge text outlives the command that encoded it
+    real = lattice._edge_weight
+    monkeypatch.setattr(lattice, "_edge_weight",
+                        lambda kind, n, e, level, col, vt:
+                        real(kind, n, e, level, col + 1, vt))
+    _, out, _ = run(capsys, "tableaux", "--kind", "spQ", "--lambda", "2,1",
+                    "--n", "2", "--paths")
+    assert hashlib.sha256(out.encode()).hexdigest() != \
+        _PATH_DIGESTS[("spQ", "2,1", "2")]
+    assert out.splitlines() == _reference_lines("spQ", (2, 1), 2)
 
 
 def test_verify_suite_ok(capsys):

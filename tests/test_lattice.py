@@ -1,9 +1,11 @@
 """Tableau-to-path maps: figure geometry, weight preservation, disjointness."""
 
+import json
+
 import pytest
 
 from charq.algebra import MultiPoly, av, vartable_for, xv, yv
-from charq.lattice import tableau_to_paths
+from charq.lattice import Edge, tableau_to_paths
 from charq.tableaux import (Tableau, entry_from_token, enumerate_tableaux,
                             tableau_weight)
 
@@ -141,6 +143,25 @@ def test_weight_preservation_injectivity_disjointness(kind, shape, n):
                           for e in p.edges) for p in pt.paths)
         assert sig not in seen
         seen.add(sig)
+
+
+@pytest.mark.parametrize("kind,shape,n", GRID)
+def test_to_json_is_compact_to_obj_and_encodes_each_edge_once(monkeypatch,
+                                                               kind, shape, n):
+    vt = vartable_for(n, shape[0])
+    tuples = [tableau_to_paths(t, vt) for t in enumerate_tableaux(kind, shape, n)]
+    want = [json.dumps(pt.to_obj(), separators=(",", ":")) for pt in tuples]
+    real = Edge.to_obj
+    encoded = []
+    monkeypatch.setattr(Edge, "to_obj", lambda e: encoded.append(e) or real(e))
+    memo = {}
+    assert [pt.to_json(memo) for pt in tuples] == want
+    keys = {(e.frm, e.to, e.kind, id(e.weight))
+            for pt in tuples for p in pt.paths for e in p.edges}
+    assert len(encoded) == len(keys)
+    # each edge entry holds its weight, so the id in its key stays its own
+    for e in encoded:
+        assert memo[e.frm, e.to, e.kind, id(e.weight)][0] is e.weight
 
 
 def test_invalid_tableau_rejected():
