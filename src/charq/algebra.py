@@ -17,8 +17,8 @@ total degree in the most significant field, then one field per variable
 in table order (x1 first, t in the lowest field).  Each field stores its
 exponent plus ``BIAS``, so Laurent exponents are stored as non-negative
 values, and its top bit is a guard bit that stays clear.  With
-``WIDTH = 20`` and ``BIAS = 2**18``, exponents and total degrees must lie
-in [-2**18, 2**18); anything outside raises :class:`ExponentOverflow`
+``WIDTH = 22`` and ``BIAS = 2**20``, exponents and total degrees must lie
+in [-2**20, 2**20); anything outside raises :class:`ExponentOverflow`
 instead of wrapping.  Monomial product is ``ma + mb - vt.zero``.  A
 product field that leaves the range, upwards or by borrowing below zero,
 sets that field's guard bit, so one OR over a product's keys, masked
@@ -28,6 +28,15 @@ The canonical term order is graded lexicographic over the block order
 above (total degree first, then the exponent vector, larger first).
 With the layout above that is plain integer order of the packed keys.
 All serialisation sorts terms this way, so output bytes are reproducible.
+
+WIDTH is 22 so that the keys hash apart.  CPython hashes an int as its
+value mod 2**61 - 1, which maps field i to bit offset WIDTH*i mod 61.  At
+WIDTH = 20 three fields span 60 bits, which is -1 mod 61, so offsets land
+on adjacent residues, and monomials differing by +2 in one field and -1
+in another hash equal: the spQ (4,2,1) tableau sum at n = 3 had 2,849
+distinct hashes for 10,821 terms, soQ (5,3,1) 11,081 for 89,207, so every
+term dict probed long collision chains.  At WIDTH = 22 the offsets of up
+to 25 fields stay at least 2 bits apart, and those sums hash injectively.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ class ExponentOverflow(AlgebraError):
 
 # Packed monomial layout (module docstring): fields of WIDTH bits, exponent
 # e stored as e + BIAS, the field's top bit kept clear as a guard.
-WIDTH = 20
+WIDTH = 22  # 22*i mod 61 keeps field hash offsets apart (module docstring)
 BIAS = 1 << (WIDTH - 2)
 _GUARD = 1 << (WIDTH - 1)
 _FIELD = (1 << WIDTH) - 1
@@ -664,7 +673,10 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
 
     Unbound variables pass through.  A variable occurring with negative
     exponents may only be bound to a single invertible monomial
-    (NonInvertibleBinding otherwise).
+    (NonInvertibleBinding otherwise).  Each distinct product of bound
+    powers is formed once and shifted by the unbound part of every term
+    that uses it; a term whose unbound part, or whose shifted product,
+    leaves the exponent range raises ExponentOverflow.
     """
     vt = p.vt
     bound: dict[int, MultiPoly] = {}
@@ -697,21 +709,47 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
         pow_cache[(pos, e)] = val
         return val
 
-    positions = sorted(bound)
-    total = MultiPoly.zero(vt)
+    slots = [(pos, vt.shifts[pos], vt.units[pos]) for pos in sorted(bound)]
+    zero = vt.zero
+    # a valid key lies in [0, guard bit of the degree field); the unbound
+    # part of a term must be one, as _check_keys only sees fields that
+    # leave the range by less than 2*BIAS
+    top = _GUARD << (WIDTH * vt.size)
+    products: dict[tuple, dict] = {}
+    out: dict = {}
+    get = out.get
     for key, c in p.terms.items():
-        base = list(vt.unpack(key))
-        factors = []
-        for pos in positions:
-            e = base[pos]
+        binds = []
+        rest = key
+        for pos, shift, unit in slots:
+            e = ((key >> shift) & _FIELD) - BIAS
             if e:
-                base[pos] = 0
-                factors.append(power(pos, e))
-        term = MultiPoly(vt, {tuple(base): c})
-        for f in factors:
-            term = term * f
-        total = total + term
-    return total
+                binds.append((pos, e))
+                rest -= e * unit
+        if not 0 <= rest < top:
+            raise ExponentOverflow(f"total degree left [-{BIAS}, {BIAS}) in a substitution")
+        binds = tuple(binds)
+        prod = products.get(binds)
+        if prod is None:
+            val = MultiPoly.one(vt)
+            for pos, e in binds:
+                val = val * power(pos, e)
+            prod = products[binds] = val.terms
+        off = rest - zero
+        shifted = {m + off: pc for m, pc in prod.items()}
+        _check_keys(vt, shifted)
+        for m, pc in shifted.items():
+            t = c * pc
+            s = get(m)
+            if s is None:
+                out[m] = t
+            else:
+                s = s + t
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return _poly(vt, out)
 
 
 def at_a_zero(p: MultiPoly) -> MultiPoly:

@@ -4,6 +4,7 @@ substitution, canonical serialisation."""
 import copy
 import json
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            sorted_terms, specialize, vartable, vartable_for,
                            xbar, xv, ybar, yv)
 from charq.lattice import _edge_weight
-from charq.tableaux import Entry, cell_weight
+from charq.tableaux import Entry, cell_weight, tableau_weight_sum
 
 from oracles import perm_determinant
 
@@ -457,6 +458,34 @@ def test_specialize_polynomial_binding():
     assert got == _x(2, 2) + 2 * xv(VT, 2) * xv(VT, 3) + _x(3, 2)
 
 
+def test_specialize_cancels_across_terms():
+    # x1 a1 + x2 with a1 -> y1 - x2/x1: the two terms of p give x2 with
+    # opposite signs, and the sum is the single term x1 y1
+    p = xv(VT, 1) * av(VT, 1) + xv(VT, 2)
+    got = specialize(p, {"a1": yv(VT, 1) - xv(VT, 2) * xbar(VT, 1)})
+    assert got == xv(VT, 1) * yv(VT, 1)
+    assert got.n_terms() == 1
+    assert specialize(_x(1, 2) - _x(2, 2), {"x1": xv(VT, 2)}).is_zero()
+
+
+def test_specialize_leaving_the_range_raises():
+    y1_inv = ybar(VT, 1)
+    fits = _x(1, BIAS - 2) * y1_inv * xv(VT, 2)
+    assert specialize(fits, {"x2": xv(VT, 1)}) == _x(1, BIAS - 1) * y1_inv
+    with pytest.raises(ExponentOverflow):
+        specialize(_x(1, BIAS - 1) * y1_inv * xv(VT, 2), {"x2": xv(VT, 1)})
+    with pytest.raises(ExponentOverflow):
+        specialize(_x(1, -BIAS) * xv(VT, 2), {"x2": xbar(VT, 1)})
+    # (x1 x2 x3 x4)^(BIAS-1) (y1 y2 y3)^(1-BIAS) with y1, y2, y3 -> 1: every
+    # exponent fits, but the total degree 4*(BIAS-1) carries past the
+    # degree field's guard bit
+    vt = vartable(4, 0)
+    e = BIAS - 1
+    p = MultiPoly(vt, {(e, e, e, e, -e, -e, -e, 0, 0): 1})
+    with pytest.raises(ExponentOverflow):
+        specialize(p, {f"y{i}": MultiPoly.one(vt) for i in (1, 2, 3)})
+
+
 def test_permute_variables_relabels():
     p = _x(1, 2) * yv(VT, 1) + xbar(VT, 1)
     got = permute_variables(p, {"x1": "x2", "x2": "x1"})
@@ -566,6 +595,28 @@ def test_packed_product_matches_tuple_reference(p, q):
     assert dict(got) == expected
     assert [m for m, _ in got] == sorted(expected, key=lambda m: (sum(m), m),
                                          reverse=True)
+
+
+def test_field_offsets_hash_apart():
+    """CPython hashes an int by folding it at the Mersenne modulus
+    2**k - 1 (k = 61 on 64-bit builds), which maps bit WIDTH*i of a packed
+    key onto bit WIDTH*i mod k.  Two fields on adjacent residues let keys
+    differing by +2 in one field and -1 in the other hash equal, so for
+    every field count up to 25 the offsets must stay at least 2 apart,
+    cyclically.  The largest tables this suite builds have 24 fields
+    (n = 3 with a_max = 16, n = 4 with a_max = 14)."""
+    k = sys.hash_info.modulus.bit_length()
+    for fields in range(2, 26):
+        offsets = sorted(algebra.WIDTH * i % k for i in range(fields))
+        gaps = [(offsets[(j + 1) % fields] - offsets[j]) % k for j in range(fields)]
+        assert min(gaps) >= 2, fields
+
+
+@pytest.mark.parametrize("kind", ["spQ", "soQ"])
+def test_tableau_sum_keys_hash_apart(kind):
+    p = tableau_weight_sum(kind, (4, 2, 1), 3, vartable_for(3, 4))
+    assert p.n_terms() == 10821
+    assert len({hash(k) for k in p.terms}) == p.n_terms()
 
 
 def test_packing_rejects_out_of_range_exponents():
