@@ -792,61 +792,120 @@ def permute_variables(p: MultiPoly, mapping: dict[str, str]) -> MultiPoly:
 # -- truncated series in t -----------------------------------------------
 
 class TruncatedSeries:
-    """Polynomial in t with t-free MultiPoly coefficients, cut at ``order``.
+    """Polynomial in t with t-free coefficients, cut at ``order``.
 
     Coefficient k of a product depends only on coefficients 0..k of the
     factors, so truncation commutes with everything this package does.
+
+    The series holds coefficient k as a packed term dict, ``terms[k]``
+    (the layout of ``MultiPoly.terms``).  A dict is never mutated once a
+    series holds it, so series, their coefficient polynomials and what
+    :meth:`coeff` hands out may share dicts.  :meth:`mul_linear` and
+    :meth:`mul_geometric` are one shift-merge pass over the coefficients:
+    each coefficient the pass updates is copied (or, if empty, built
+    afresh), then takes the keys of its predecessor shifted by each term
+    of the factor, with coefficients multiplied and cancelled keys
+    dropped, and is checked with ``_check_keys`` before the next
+    coefficient reads it, so a key leaving the range raises
+    ExponentOverflow before a further shift can carry past a guard bit.
     """
 
-    __slots__ = ("vt", "order", "coeffs")
+    __slots__ = ("vt", "order", "terms")
 
     def __init__(self, vt: VarTable, order: int, coeffs):
         if order < 0:
             raise ValueError("series order must be >= 0")
         if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
+        if any(c.vt is not vt for c in coeffs):
+            raise VarTableMismatch("series coefficient uses a different variable table")
         self.vt = vt
         self.order = order
-        self.coeffs = list(coeffs)
+        self.terms = [c.terms for c in coeffs]
 
     @classmethod
     def one(cls, vt: VarTable, order: int) -> "TruncatedSeries":
-        coeffs = [MultiPoly.one(vt)] + [MultiPoly.zero(vt) for _ in range(order)]
-        return cls(vt, order, coeffs)
+        return cls(vt, order, [MultiPoly.one(vt)] + [MultiPoly.zero(vt)] * order)
 
     def coeff(self, m: int) -> MultiPoly:
         if m < 0 or m > self.order:
             return MultiPoly.zero(self.vt)
-        return self.coeffs[m]
+        return _poly(self.vt, self.terms[m])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.vt is not other.vt or self.order != other.order:
             raise VarTableMismatch("series mismatch in mul")
-        zero = MultiPoly.zero(self.vt)
-        out = [zero] * (self.order + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
+        vt, order = self.vt, self.order
+        out = [MultiPoly.zero(vt)] * (order + 1)
+        for i, ti in enumerate(self.terms):
+            if not ti:
                 continue
-            for j in range(self.order + 1 - i):
-                cj = other.coeffs[j]
-                if cj.is_zero():
-                    continue
-                out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(self.vt, self.order, out)
+            ci = _poly(vt, ti)
+            for j in range(order + 1 - i):
+                tj = other.terms[j]
+                if tj:
+                    out[i + j] = out[i + j] + ci * _poly(vt, tj)
+        return TruncatedSeries(vt, order, out)
+
+    def _shift_merge(self, v: MultiPoly, ks) -> "TruncatedSeries":
+        """The series with coefficient k, for k in ``ks`` in that order,
+        replaced by c_k + v*c_{k-1}, where c_{k-1} is read from the result:
+        updated already when ``ks`` runs upwards, not yet when it runs
+        downwards."""
+        vt = self.vt
+        if v.vt is not vt:
+            raise VarTableMismatch("series factor uses a different variable table")
+        if not v.terms:
+            return self
+        zero = vt.zero
+        offs = [(m - zero, c) for m, c in v.terms.items()]
+        off0, cv0 = offs[0]
+        rest = offs[1:]
+        out = list(self.terms)
+        for k in ks:
+            src = out[k - 1]
+            if not src:
+                continue
+            dst = out[k]
+            if dst:
+                dst = dst.copy()
+                rows = offs
+            else:
+                # the first row into an empty coefficient has distinct keys
+                # and nonzero coefficients
+                dst = {m + off0: c * cv0 for m, c in src.items()}
+                rows = rest
+            get = dst.get
+            for off, cv in rows:
+                for m, c in src.items():
+                    m += off
+                    c *= cv
+                    s = get(m)
+                    if s is None:
+                        dst[m] = c
+                    else:
+                        s += c
+                        if s:
+                            dst[m] = s
+                        else:
+                            del dst[m]
+            # as in MultiPoly.__mul__, a cancelled key had a true zero
+            # coefficient, so checking the surviving keys suffices
+            _check_keys(vt, dst)
+            out[k] = dst
+        s = _new(TruncatedSeries)
+        s.vt, s.order, s.terms = vt, self.order, out
+        return s
 
     def mul_linear(self, v: MultiPoly) -> "TruncatedSeries":
-        """Multiply by (1 + t*v) in one pass."""
-        out = [self.coeffs[0]]
-        for k in range(1, self.order + 1):
-            out.append(self.coeffs[k] + v * self.coeffs[k - 1])
-        return TruncatedSeries(self.vt, self.order, out)
+        """Multiply by (1 + t*v): c_k + v*c_{k-1}, k running downwards so
+        each step reads the old c_{k-1}."""
+        return self._shift_merge(v, range(self.order, 0, -1))
 
     def mul_geometric(self, v: MultiPoly) -> "TruncatedSeries":
-        """Multiply by 1/(1 - t*v) via r_k = c_k + v*r_{k-1}."""
-        out = [self.coeffs[0]]
-        for k in range(1, self.order + 1):
-            out.append(self.coeffs[k] + v * out[k - 1])
-        return TruncatedSeries(self.vt, self.order, out)
+        """Multiply by 1/(1 - t*v): r_k = c_k + v*r_{k-1}, k running upwards
+        so each step reads the new r_{k-1}."""
+        return self._shift_merge(v, range(1, self.order + 1))
 
 
 def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly:
@@ -854,7 +913,11 @@ def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly
     over the geometric factors u and the linear factors v, multiplied in
     that order.  Zero for m < 0; a_limit <= 0 gives no parameter factor.
     This is the one generating function behind the h, q, f and q-tilde
-    families; each family differs only in its factor lists and a_limit."""
+    families; each family differs only in its factor lists and a_limit.
+
+    Each factor is one shift-merge pass of a TruncatedSeries of order m
+    over the term dicts it holds, with an overflow check on every updated
+    coefficient; only coefficient m becomes a MultiPoly."""
     if m < 0:
         return MultiPoly.zero(vt)
     if a_limit > vt.a_max:

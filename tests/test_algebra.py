@@ -382,6 +382,8 @@ def test_series_linear_two_terms():
     assert s.coeff(0) == MultiPoly.one(VT)
     assert s.coeff(1) == yv(VT, 1)
     assert s.coeff(2).is_zero() and s.coeff(3).is_zero()
+    for step in (s.mul_linear, s.mul_geometric):
+        assert step(MultiPoly.zero(VT)).terms == s.terms
 
 
 def test_series_defining_property():
@@ -424,6 +426,94 @@ def test_coeff_independent_of_truncation_order(k, extra):
         s = s.mul_geometric(xv(VT, 2))
         return s
     assert build(k).coeff(k) == build(k + extra).coeff(k)
+
+
+@st.composite
+def series_factors(draw):
+    """(kind, factor) pairs, kind "geo" for 1/(1 - t*v) and "lin" for
+    1 + t*v, each factor of 1-3 terms with int or Fraction coefficients;
+    one factor is drawn again, negated and of either kind, so that terms
+    cancel."""
+    coeff = draw(st.sampled_from((coeffs, rationals)))
+    factor = polys(max_terms=3, coeff=coeff).filter(lambda p: p.n_terms() >= 1)
+    kinds = st.sampled_from(("geo", "lin"))
+    out = draw(st.lists(st.tuples(kinds, factor), min_size=1, max_size=4))
+    i = draw(st.integers(min_value=0, max_value=len(out) - 1))
+    out.insert(draw(st.integers(min_value=0, max_value=len(out))),
+               (draw(kinds), -out[i][1]))
+    return out
+
+
+def _brute_series_coeff(m, factors):
+    """[t^m] of the product of the factors: the sum over exponent choices
+    (e >= 0 for "geo", 0 or 1 for "lin") totalling m of the product of
+    the powers, in plain MultiPoly arithmetic."""
+    total = MultiPoly.zero(VT)
+    stack = [(0, m, MultiPoly.one(VT))]
+    while stack:
+        i, left, acc = stack.pop()
+        if i == len(factors):
+            if left == 0:
+                total = total + acc
+            continue
+        kind, v = factors[i]
+        for e in range(left + 1 if kind == "geo" else min(left, 1) + 1):
+            stack.append((i + 1, left - e, acc * v ** e))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_factors(), st.integers(min_value=0, max_value=4))
+def test_series_kernel_matches_brute_force(factors, order):
+    s = TruncatedSeries.one(VT, order)
+    for kind, v in factors:
+        s = s.mul_geometric(v) if kind == "geo" else s.mul_linear(v)
+    for k in range(order + 1):
+        assert s.coeff(k) == _brute_series_coeff(k, factors)
+    geo = [v for kind, v in factors if kind == "geo"]
+    lin = [v for kind, v in factors if kind == "lin"]
+    a_limit = min(order, VT.a_max)
+    want = _brute_series_coeff(
+        order, [("geo", v) for v in geo] + [("lin", v) for v in lin]
+        + [("lin", av(VT, k)) for k in range(1, a_limit + 1)])
+    assert algebra.gf_coeff(order, geo, lin, a_limit, VT) == want
+
+
+def test_series_steps_leave_their_inputs_unchanged():
+    v = xv(VT, 1) - av(VT, 2)
+    s = TruncatedSeries.one(VT, 3).mul_geometric(xv(VT, 1)).mul_linear(yv(VT, 1))
+    got = algebra.gf_coeff(2, [xv(VT, 2)], [v], 1, VT)
+    built = TruncatedSeries(VT, 3, [MultiPoly.one(VT), got, s.coeff(1), s.coeff(3)])
+    held = [s.coeff(k) for k in range(4)] + [got, v]
+    before = [dict(p.terms) for p in held]
+    series_before = [dict(d) for d in s.terms] + [dict(d) for d in built.terms]
+    for series in (s, built):
+        series.mul_linear(v)
+        series.mul_geometric(v)
+    assert [p.terms for p in held] == before
+    assert [dict(d) for d in s.terms] + [dict(d) for d in built.terms] == series_before
+
+
+def test_series_step_leaving_the_range_raises():
+    # x1^(BIAS-1) fits; its square, the order-2 coefficient, does not, and
+    # at order 3 a further shift would carry past the guard bit
+    for order in (2, 3):
+        with pytest.raises(ExponentOverflow):
+            TruncatedSeries.one(VT, order).mul_geometric(_x(1, BIAS - 1))
+    s = TruncatedSeries.one(VT, 1).mul_geometric(_x(1, BIAS - 1))
+    assert s.coeff(1) == _x(1, BIAS - 1)
+
+
+def test_series_refuses_another_table():
+    other = vartable(2, 4)
+    with pytest.raises(VarTableMismatch):
+        TruncatedSeries(VT, 1, [MultiPoly.one(VT), xv(other, 1)])
+    s = TruncatedSeries.one(VT, 2)
+    for step in (s.mul_linear, s.mul_geometric):
+        with pytest.raises(VarTableMismatch):
+            step(xv(other, 1))
+        with pytest.raises(VarTableMismatch):
+            step(MultiPoly.zero(other))
 
 
 # -- substitution -----------------------------------------------------------------

@@ -229,6 +229,24 @@ def test_verify_all_default_grid_bytes_pinned(capsys):
         "bfda45a036b62f2528167c9656f3d0957646efcca0137791af19ab320cc78720"
 
 
+# the series-bound suites at the grids the benchmark's cli-mix runs
+_SERIES_SUITE_DIGESTS = {
+    ("h-diff", "3", "5"):
+        "2c89256e45c4420742aeccc2681cf7986e60d83cc7f8d36d45596c16af5b3690",
+    ("f-diff", "3", "4"):
+        "0e417110e97723dc14f9be92e4d20c4e1d2ce19364868a48d88f77004a21549b",
+}
+
+
+@pytest.mark.parametrize("suite,n_max,m_max", sorted(_SERIES_SUITE_DIGESTS))
+def test_verify_series_suite_bytes_pinned(capsys, suite, n_max, m_max):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", n_max,
+                       "--m-max", m_max)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _SERIES_SUITE_DIGESTS[(suite, n_max, m_max)]
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "1",
                        "--lambda-max", "2", "--mu-max", "1", "--m-max", "2")
