@@ -481,11 +481,9 @@ def factorial_power(vt: VarTable, i: int, m: int, barred: bool = False) -> Multi
     if m > vt.a_max:
         raise AIndexOutOfRange(f"factorial power of order {m} needs a_1..a_{m}, "
                                f"table retains a_max={vt.a_max}")
-    base = xbar(vt, i) if barred else xv(vt, i)
-    out = MultiPoly.one(vt)
-    for k in range(1, m + 1):
-        out = out * (base + av(vt, k))
-    return out
+    exp = -1 if barred else 1
+    return reduce(mul, (linear_factor(vt, vt.x_pos(i), exp, k, 1)
+                        for k in range(1, m + 1)), MultiPoly.one(vt))
 
 
 # -- exact division -----------------------------------------------------

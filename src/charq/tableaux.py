@@ -20,6 +20,7 @@ MultiPoly values over a shared VarTable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .algebra import MultiPoly, VarTable, linear_factor
@@ -137,6 +138,8 @@ _SHAPES: dict[tuple, tuple[int, ...]] = {}
 def check_shape(kind: str, shape, n: int) -> tuple[int, ...]:
     """Cleaned parts of ``shape`` if it is valid for ``kind`` at rank n,
     else ShapeKindMismatch.  Successes on tuple shapes are cached."""
+    if n < 1:
+        raise ValueError("rank n must be >= 1")
     key = (kind, shape, n) if isinstance(shape, tuple) else None
     if key is not None:
         got = _SHAPES.get(key)
@@ -407,12 +410,15 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # top to bottom keeping, for each candidate row content r (from
 # _row_ranks, without floors), the polynomial H_i(r) = sum of weights of
 # all fillings of rows 1..i ending in r, bucket the H_i by the threshold
-# vector their row imposes (_floors, the bounds enumerate_tableaux stacks
-# rows with), accumulate the buckets with a multidimensional prefix sum,
-# and read each H_{i+1}(r') off with a single lookup.  test_tableaux pins
-# this against the naive per-tableau sum.
-
-_DENSE_TABLE_CAP = 500_000
+# vector their row imposes (_floors), prefix-sum the buckets and read
+# each H_{i+1}(r') off with one lookup.  Thresholds and candidates both
+# weakly increase, so the prefix sums run over weakly increasing keys up
+# to the largest candidate (headed by the diagonal group in the sp/so Q
+# kinds), last coordinate first.  That is exact: once coordinates d+1..
+# are summed and those before d fixed, a key whose coordinate d drops
+# below coordinate d-1 could only hold a threshold vector that does not
+# weakly increase, so it is absent and reads as zero.  test_tableaux
+# pins this against the naive per-tableau sum.
 
 
 def _row_candidates(kind, alpha, n, i, width, vt):
@@ -440,7 +446,6 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
     if len(parts) == 0:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
-    A = len(alpha)
     spso_q = kind in ("spQ", "soQ")
     zero_p = MultiPoly.zero(vt)
     H = dict(_row_candidates(kind, alpha, n, 1, parts[0], vt))
@@ -448,63 +453,32 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
     for i in range(2, len(parts) + 1):
         width = parts[i - 1]
         # bucket previous level by threshold vector (plus the diagonal
-        # group dimension for the sp/so Q kinds)
-        buckets: dict[tuple, MultiPoly] = {}
+        # group bound for the sp/so Q kinds)
+        table: dict[tuple, MultiPoly] = {}
         for ranks, h in H.items():
             th = _floors(kind, alpha, ranks, width)
             if spso_q:
                 th = (alpha[ranks[0]].k + 1,) + th
-            got = buckets.get(th)
-            buckets[th] = h if got is None else got + h
+            got = table.get(th)
+            table[th] = h if got is None else got + h
 
-        dims = ((n + 2,) if spso_q else ()) + (A + 1,) * width
-        total_cells = 1
-        for d in dims:
-            total_cells *= d
-        nxt_level = _row_candidates(kind, alpha, n, i, width, vt)
-
-        if total_cells <= _DENSE_TABLE_CAP:
-            # dense cumulative table over threshold space
-            table = [zero_p] * total_cells
-            strides = [0] * len(dims)
-            s = 1
-            for d in range(len(dims) - 1, -1, -1):
-                strides[d] = s
-                s *= dims[d]
-            for th, poly in buckets.items():
-                idx = sum(c * s for c, s in zip(th, strides))
-                table[idx] = table[idx] + poly
-            for d in range(len(dims)):
-                sd = strides[d]
-                dd = dims[d]
-                for idx in range(total_cells):
-                    c = (idx // sd) % dd
-                    if c:
-                        cur = table[idx]
-                        prev = table[idx - sd]
-                        if prev.terms:
-                            table[idx] = cur + prev if cur.terms else prev
-
-            def dominated_sum(coords):
-                idx = sum(c * s for c, s in zip(coords, strides))
-                return table[idx]
-        else:
-            items = list(buckets.items())
-
-            def dominated_sum(coords, items=items):
-                tot = zero_p
-                for th, poly in items:
-                    if all(t <= c for t, c in zip(th, coords)):
-                        tot = tot + poly
-                return tot
+        # prefix sums in place; lexicographic order updates key - e_d
+        # before key
+        keys = list(combinations_with_replacement(range(len(alpha)), width))
+        if spso_q:
+            keys = [(g,) + key for g in range(n + 1) for key in keys]
+        for d in reversed(range(len(keys[0]))):
+            for key in keys:
+                if key[d]:
+                    prev = table.get(key[:d] + (key[d] - 1,) + key[d + 1:])
+                    if prev:
+                        cur = table.get(key)
+                        table[key] = cur + prev if cur else prev
 
         newH: dict[tuple, MultiPoly] = {}
-        for ranks, w in nxt_level:
-            coords = ranks
-            if spso_q:
-                coords = (alpha[ranks[0]].k,) + coords
-            acc = dominated_sum(coords)
-            if acc.terms:
+        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
+            acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
+            if acc:
                 newH[ranks] = w * acc
         H = newH
         if not H:

@@ -266,6 +266,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "tableaux", "--kind", "glQ", "--lambda", "2,2",
                "--n", "2")[0] == 2
     assert run(capsys, "verify", "--suite", "zzz")[0] == 2
+    # rank below 1, with or without --count
+    for n in ("0", "-1"):
+        assert run(capsys, "tableaux", "--kind", "glChar", "--n", n,
+                   "--count")[:2] == (2, "")
     assert run(capsys, "qfun", "--kind", "glQ", "--n", "1",
                "--lambda", "2,2")[0] == 2
     assert run(capsys, "qfun", "--kind", "glQ", "--n", "2",

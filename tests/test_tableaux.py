@@ -5,7 +5,6 @@ from itertools import product
 
 import pytest
 
-from charq import tableaux
 from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
@@ -85,6 +84,9 @@ def test_counts_trivial():
     assert count_tableaux("glChar", (1,), 2) == 2
     assert count_tableaux("soChar", (1,), 1) == 3
     assert count_tableaux("glChar", (), 2) == 1
+    # rank 0 is refused, not counted as the one empty tableau
+    with pytest.raises(ValueError, match="rank n must be >= 1"):
+        count_tableaux("glChar", (), 0)
 
 
 def test_sp_count_is_weyl_dimension():
@@ -360,15 +362,16 @@ def test_tableau_weight_rejects_invalid():
     # multi-row shapes at n = 3; for spQ/soQ the thresholds also carry
     # the diagonal dimension
     ("spQ", (3, 2, 1), 3), ("soQ", (3, 2), 3), ("soChar", (2, 2, 2), 3),
-    ("glQ", (3, 1), 3)])
-def test_weight_sum_matches_per_tableau_sum(kind, shape, n, monkeypatch):
+    ("glQ", (3, 1), 3),
+    # lower rows of width 3: prefix sums over three rank coordinates (four
+    # with the diagonal group)
+    ("spChar", (3, 3), 3), ("soChar", (3, 3), 3), ("glQ", (4, 3), 3),
+    ("spQ", (4, 3), 2), ("soQ", (4, 3), 2)])
+def test_weight_sum_matches_per_tableau_sum(kind, shape, n):
     vt = vartable_for(n, shape[0] if shape else 0)
     naive = MultiPoly.zero(vt)
     for t in enumerate_tableaux(kind, shape, n):
         naive = naive + tableau_weight(t, vt)
-    assert tableau_weight_sum(kind, shape, n, vt) == naive
-    # a cap of 0 sends every row through the sparse dominated_sum fallback
-    monkeypatch.setattr(tableaux, "_DENSE_TABLE_CAP", 0)
     assert tableau_weight_sum(kind, shape, n, vt) == naive
 
 
