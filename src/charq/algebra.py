@@ -156,10 +156,13 @@ class VarTable:
         return pos < 2 * self.n
 
     def pack(self, mono) -> int:
-        """Packed key of a dense exponent tuple; ExponentOverflow if an
-        exponent or the total degree is outside [-BIAS, BIAS)."""
+        """Packed key of a dense exponent tuple; ValueError for a negative
+        exponent on an a or t variable, ExponentOverflow if an exponent or
+        the total degree is outside [-BIAS, BIAS)."""
         if len(mono) != self.size:
             raise ValueError(f"monomial needs {self.size} exponents, got {len(mono)}")
+        if min(mono[2 * self.n:]) < 0:
+            raise ValueError("negative exponents are allowed only on x/y variables")
         if min(mono) < -BIAS or max(mono) >= BIAS or not -BIAS <= sum(mono) < BIAS:
             raise ExponentOverflow(f"exponent outside [-{BIAS}, {BIAS}) in {tuple(mono)}")
         return self.zero + sum(map(mul, mono, self.units))
@@ -219,6 +222,37 @@ def _check_keys(vt: VarTable, keys) -> None:
         raise ExponentOverflow(f"exponent or degree left [-{BIAS}, {BIAS})")
 
 
+def _merge_rows(dst: dict, src: dict, rows) -> dict:
+    """Add into ``dst``, for each (offset, coeff) in ``rows``, the terms of
+    ``src`` with their keys shifted by offset and their coefficients
+    multiplied by coeff (nonzero); a key whose sum cancels is dropped.  An
+    empty ``dst`` is left alone: the first row, whose keys are distinct
+    and coefficients nonzero, becomes a new dict built in one
+    comprehension.  Updates ``dst`` in place, so pass only a dict no
+    polynomial or series holds yet, and use the returned dict.  Checks no
+    range."""
+    rows = iter(rows)
+    if not dst:
+        for off, cv in rows:
+            dst = {m + off: c * cv for m, c in src.items()}
+            break
+    get = dst.get
+    for off, cv in rows:
+        for m, c in src.items():
+            m += off
+            c *= cv
+            s = get(m)
+            if s is None:
+                dst[m] = c
+            else:
+                s += c
+                if s:
+                    dst[m] = s
+                else:
+                    del dst[m]
+    return dst
+
+
 _new = object.__new__
 
 
@@ -237,7 +271,8 @@ class MultiPoly:
     monomial, total-degree field on top, then x1 .. t, each field biased
     by BIAS with a clear guard bit) to nonzero int/Fraction coefficients.
     The constructor takes dense exponent tuples (one slot per VarTable
-    entry) and packs them, dropping zero coefficients and storing an
+    entry) and packs every one (VarTable.pack refuses a negative exponent
+    on an a or t variable), dropping zero coefficients and storing an
     integral Fraction as its int, as every other constructor does;
     exponents and total degrees must lie in [-BIAS, BIAS), and an
     operation whose result leaves that range raises ExponentOverflow.
@@ -249,8 +284,10 @@ class MultiPoly:
 
     def __init__(self, vt: VarTable, terms: dict):
         self.vt = vt
-        pack = vt.pack
-        self.terms = {pack(m): _canon_coeff(c) for m, c in terms.items() if c}
+        # every monomial is packed, so checked, even one whose coefficient
+        # is zero and is dropped
+        self.terms = {m: _canon_coeff(c)
+                      for m, c in zip(map(vt.pack, terms), terms.values()) if c}
 
     # -- constructors -------------------------------------------------
 
@@ -346,12 +383,10 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """The outer loop runs over the terms of the operand with fewer
-        terms (other on a tie); each gives one row of products with every
-        term of the larger operand.  The first row is built in one
-        comprehension, since its keys are distinct and its coefficients
-        nonzero; later rows merge into it term by term, dropping keys that
-        cancel."""
+        """One row of products per term of the operand with fewer terms
+        (other on a tie), each the larger operand shifted and scaled by
+        that term, merged by ``_merge_rows`` into a dict built for the
+        product."""
         vt = self.vt
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -366,25 +401,7 @@ class MultiPoly:
         if len(a) < len(b):
             a, b = b, a
         zero = vt.zero
-        rows = iter(b.items())
-        mb, cb = next(rows)
-        off = mb - zero
-        out = {ma + off: ca * cb for ma, ca in a.items()}
-        get = out.get
-        for mb, cb in rows:
-            off = mb - zero
-            for ma, ca in a.items():
-                m = ma + off
-                c = ca * cb
-                s = get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+        out = _merge_rows({}, a, [(mb - zero, cb) for mb, cb in b.items()])
         # distinct true monomials of a product never share a key, even out
         # of range, so a cancelled key had a true zero coefficient and
         # checking the surviving keys suffices
@@ -415,8 +432,6 @@ def monomial(vt: VarTable, coeff, exps: dict[str, int] | None = None) -> MultiPo
         pos = vt.index.get(name)
         if pos is None:
             raise VarTableMismatch(f"unknown variable {name!r}")
-        if e < 0 and not vt.is_laurent(pos):
-            raise ValueError("negative exponents are allowed only on x/y variables")
         mono[pos] = e
     return MultiPoly(vt, {tuple(mono): coeff})
 
@@ -583,7 +598,7 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
 
 # -- determinants --------------------------------------------------------
 
-def determinant(rows, *, vt: VarTable | None = None, method: str = "auto") -> MultiPoly:
+def determinant(rows, *, vt: VarTable | None = None) -> MultiPoly:
     """Exact determinant of a square matrix of MultiPoly.
 
     Cofactor expansion along the sparsest row up to COFACTOR_MAX, Bareiss
@@ -603,13 +618,9 @@ def determinant(rows, *, vt: VarTable | None = None, method: str = "auto") -> Mu
         for e in row:
             if e.vt is not v0:
                 raise VarTableMismatch("matrix entries use different variable tables")
-    if method == "auto":
-        method = "cofactor" if k <= COFACTOR_MAX else "bareiss"
-    if method == "cofactor":
+    if k <= COFACTOR_MAX:
         return _det_cofactor(rows, v0)
-    if method == "bareiss":
-        return _det_bareiss(rows, v0)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_bareiss(rows, v0)
 
 
 def _det_cofactor(rows, vt) -> MultiPoly:
@@ -672,9 +683,11 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
     Unbound variables pass through.  A variable occurring with negative
     exponents may only be bound to a single invertible monomial
     (NonInvertibleBinding otherwise).  Each distinct product of bound
-    powers is formed once and shifted by the unbound part of every term
-    that uses it; a term whose unbound part, or whose shifted product,
-    leaves the exponent range raises ExponentOverflow.
+    powers is formed once, then merged by ``_merge_rows`` with one row per
+    term that uses it: shifted by the term's unbound part, scaled by its
+    coefficient.  Each term's shifted keys are checked before any merge,
+    so a term whose unbound part, or whose shifted product, leaves the
+    exponent range raises ExponentOverflow.
     """
     vt = p.vt
     bound: dict[int, MultiPoly] = {}
@@ -713,9 +726,8 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
     # part of a term must be one, as _check_keys only sees fields that
     # leave the range by less than 2*BIAS
     top = _GUARD << (WIDTH * vt.size)
-    products: dict[tuple, dict] = {}
-    out: dict = {}
-    get = out.get
+    # bound-power product -> (its terms, one (offset, coeff) row per term)
+    groups: dict[tuple, tuple[dict, list]] = {}
     for key, c in p.terms.items():
         binds = []
         rest = key
@@ -727,26 +739,19 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
         if not 0 <= rest < top:
             raise ExponentOverflow(f"total degree left [-{BIAS}, {BIAS}) in a substitution")
         binds = tuple(binds)
-        prod = products.get(binds)
-        if prod is None:
+        group = groups.get(binds)
+        if group is None:
             val = MultiPoly.one(vt)
             for pos, e in binds:
                 val = val * power(pos, e)
-            prod = products[binds] = val.terms
+            group = groups[binds] = (val.terms, [])
+        prod, prod_rows = group
         off = rest - zero
-        shifted = {m + off: pc for m, pc in prod.items()}
-        _check_keys(vt, shifted)
-        for m, pc in shifted.items():
-            t = c * pc
-            s = get(m)
-            if s is None:
-                out[m] = t
-            else:
-                s = s + t
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _check_keys(vt, map(off.__add__, prod))
+        prod_rows.append((off, c))
+    out: dict = {}
+    for prod, prod_rows in groups.values():
+        out = _merge_rows(out, prod, prod_rows)
     return _poly(vt, out)
 
 
@@ -800,11 +805,10 @@ class TruncatedSeries:
     series holds it, so series, their coefficient polynomials and what
     :meth:`coeff` hands out may share dicts.  :meth:`mul_linear` and
     :meth:`mul_geometric` are one shift-merge pass over the coefficients:
-    each coefficient the pass updates is copied (or, if empty, built
-    afresh), then takes the keys of its predecessor shifted by each term
-    of the factor, with coefficients multiplied and cancelled keys
-    dropped, and is checked with ``_check_keys`` before the next
-    coefficient reads it, so a key leaving the range raises
+    each coefficient the pass updates is copied, then ``_merge_rows`` adds
+    into the copy its predecessor shifted and scaled by each term of the
+    factor, and the result is checked with ``_check_keys`` before the
+    next coefficient reads it, so a key leaving the range raises
     ExponentOverflow before a further shift can carry past a guard bit.
     """
 
@@ -857,36 +861,12 @@ class TruncatedSeries:
             return self
         zero = vt.zero
         offs = [(m - zero, c) for m, c in v.terms.items()]
-        off0, cv0 = offs[0]
-        rest = offs[1:]
         out = list(self.terms)
         for k in ks:
             src = out[k - 1]
             if not src:
                 continue
-            dst = out[k]
-            if dst:
-                dst = dst.copy()
-                rows = offs
-            else:
-                # the first row into an empty coefficient has distinct keys
-                # and nonzero coefficients
-                dst = {m + off0: c * cv0 for m, c in src.items()}
-                rows = rest
-            get = dst.get
-            for off, cv in rows:
-                for m, c in src.items():
-                    m += off
-                    c *= cv
-                    s = get(m)
-                    if s is None:
-                        dst[m] = c
-                    else:
-                        s += c
-                        if s:
-                            dst[m] = s
-                        else:
-                            del dst[m]
+            dst = _merge_rows(out[k].copy(), src, offs)
             # as in MultiPoly.__mul__, a cancelled key had a true zero
             # coefficient, so checking the surviving keys suffices
             _check_keys(vt, dst)
@@ -974,8 +954,6 @@ def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
             if pos is None:
                 raise VarTableMismatch(f"unknown variable {name!r}")
             mono[pos] = int(e)
-            if mono[pos] < 0 and not vt.is_laurent(pos):
-                raise ValueError("negative exponents are allowed only on x/y variables")
         mono = tuple(mono)
         if mono in terms:
             raise ValueError(f"monomial {t['e']} is listed twice")

@@ -62,12 +62,7 @@ def qtilde(m: int, us, vs, vt: VarTable) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _q_md_cached(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
-    xs, ys = ((xv,), (yv,)) if kind == "glQ" else ((xv, xbar), (yv, ybar))
-    geometric = [x(vt, i) for i in range(d, vt.n + 1) for x in xs]
-    linear = [y(vt, j) for j in range(d + 1, vt.n + 1) for y in ys]
-    if kind == "soQ":
-        linear.append(MultiPoly.one(vt))
-    return gf_coeff(m, geometric, linear, m - 1 if kind == "soQ" else m, vt)
+    return f_mpqn(kind, m, d, d, vt)
 
 
 def q_md(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
@@ -92,7 +87,8 @@ def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
     h family (q = n): geometric factors in x_p..x_n (and inverses), linear
     factors in y_{q+1}..y_n (and inverses), and parameters a_1..a_{m+q-p}.
     For soQ the extra (1+t) factor again consumes one parameter slot, so
-    the product stops at a_{m+q-p-1}, matching q_md at p = q."""
+    the product stops at a_{m+q-p-1}, matching q_md at p = q, which is
+    this function's cached value at p = q = d."""
     _check_kind(kind)
     n = vt.n
     if not 1 <= p <= q <= n:

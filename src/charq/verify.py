@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import mul
 
-from .algebra import (MultiPoly, add_a, determinant, vartable_for, xbar, xv,
+from .algebra import (AlgebraError, MultiPoly, add_a, vartable_for, xbar, xv,
                       ybar, yv)
-from .characters import (CHAR_ROUTES, GROUP_KINDS, _def_entry, h_factorial,
-                         h_one_var, h_range, one_part_expansion,
-                         ratio_factors, weyl_factor)
+from .characters import (CHAR_ROUTES, GROUP_KINDS, _ratio_denominator,
+                         h_factorial, h_range, one_part_expansion,
+                         weyl_factor)
 from .lattice import tableau_to_paths
 from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
@@ -231,13 +231,11 @@ def _h_denominator_case(kind, n):
 
     def thunk():
         vt = vartable_for(n, 0 if kind == "gl" else 1)
-        # the product of the pair factors, times the row scales for def
-        for route, entry in (("hdet", h_one_var), ("def", _def_entry)):
-            scales, pairs = ratio_factors(kind, vt, route)
-            det = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
-                               for i in range(1, n + 1)], vt=vt)
-            if det != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
-                return False, {}
+        try:
+            for route in ("hdet", "def"):
+                _ratio_denominator(kind, vt, route)
+        except AlgebraError:
+            return False, {}
         return True, {}
 
     return inputs, thunk

@@ -329,8 +329,8 @@ def test_bareiss_matches_cofactor(k, data):
     rows = [[MultiPoly.const(VT, data.draw(coeffs)) +
              MultiPoly.const(VT, data.draw(coeffs)) * xv(VT, (i * k + j) % 3 + 1)
              for j in range(k)] for i in range(k)]
-    assert determinant(rows, method="bareiss") == determinant(rows, method="cofactor")
-    assert determinant(rows, method="cofactor") == perm_determinant(rows, VT)
+    assert algebra._det_bareiss(rows, VT) == algebra._det_cofactor(rows, VT)
+    assert algebra._det_cofactor(rows, VT) == perm_determinant(rows, VT)
 
 
 def test_cofactor_switch_constant():
@@ -338,7 +338,7 @@ def test_cofactor_switch_constant():
 
 
 def test_large_matrix_takes_bareiss_path():
-    # 7x7 goes through fraction-free elimination under method="auto"
+    # 7x7 is past COFACTOR_MAX, so it goes through fraction-free elimination
     k = 7
     rows = [[MultiPoly.const(VT, (3 * i + 5 * j + i * j) % 7 - 3) +
              MultiPoly.const(VT, (i * i + j) % 3) * xv(VT, (i + j) % 2 + 1)
@@ -582,6 +582,21 @@ def test_permute_variables_relabels():
     assert got == _x(2, 2) * yv(VT, 1) + _x(2, -1)
 
 
+@pytest.mark.parametrize("name", ["t", "a1"])
+def test_negative_exponent_off_x_y_refused_when_packing(name):
+    vt = vartable(1, 1)
+    mono = [0] * vt.size
+    mono[vt.index[name]] = -1
+    # a zero coefficient does not excuse the monomial
+    for c in (1, 0):
+        with pytest.raises(ValueError, match="only on x/y"):
+            MultiPoly(vt, {tuple(mono): c})
+    with pytest.raises(ValueError, match="only on x/y"):
+        permute_variables(xbar(vt, 1), {"x1": name, name: "x1"})
+    # moving the inverse onto the other Laurent variable stays valid
+    assert permute_variables(xbar(vt, 1), {"x1": "y1", "y1": "x1"}) == ybar(vt, 1)
+
+
 # -- serialisation -----------------------------------------------------------------
 
 
@@ -604,9 +619,10 @@ def test_json_round_trip_and_canonical_order():
 @pytest.mark.parametrize("name", ["t", "a1"])
 def test_poly_from_obj_refuses_negative_non_laurent_exponent(name):
     vt = vartable(1, 1)
-    obj = {"vars": list(vt.names), "terms": [{"c": "1/1", "e": {name: -1}}]}
-    with pytest.raises(ValueError, match="only on x/y"):
-        poly_from_obj(vt, obj)
+    for c in ("0/1", "1/1"):
+        obj = {"vars": list(vt.names), "terms": [{"c": c, "e": {name: -1}}]}
+        with pytest.raises(ValueError, match="only on x/y"):
+            poly_from_obj(vt, obj)
     # the same exponent on a Laurent variable is a valid serialisation
     obj["terms"][0]["e"] = {"x1": -1}
     assert poly_from_obj(vt, obj) == xbar(vt, 1)
