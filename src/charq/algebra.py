@@ -228,9 +228,15 @@ def _merge_rows(dst: dict, src: dict, rows) -> dict:
     multiplied by coeff (nonzero); a key whose sum cancels is dropped.  An
     empty ``dst`` is left alone: the first row, whose keys are distinct
     and coefficients nonzero, becomes a new dict built in one
-    comprehension.  Updates ``dst`` in place, so pass only a dict no
-    polynomial or series holds yet, and use the returned dict.  Checks no
-    range."""
+    comprehension.  Checks no range.
+
+    ``dst`` is updated in place, so it must belong to the caller: a dict
+    the caller has just built or copied, which no polynomial, series or
+    other caller holds.  Use the returned dict.  Callers:
+    ``_add_products`` (``MultiPoly.__mul__``, the cofactor and Bareiss
+    determinants and the fused tableau sum),
+    ``TruncatedSeries._shift_merge``, ``specialize`` and the prefix sums
+    of ``tableaux.tableau_weight_sum``."""
     rows = iter(rows)
     if not dst:
         for off, cv in rows:
@@ -250,6 +256,33 @@ def _merge_rows(dst: dict, src: dict, rows) -> dict:
                     dst[m] = s
                 else:
                     del dst[m]
+    return dst
+
+
+def _add_products(vt: VarTable, dst: dict, products) -> dict:
+    """Add into ``dst`` the product sign*a*b for each (a, b, sign) in
+    ``products`` (a and b term dicts of valid keys, sign 1 or -1), one
+    ``_merge_rows`` row per term of the smaller operand, then check the
+    finished sum once with ``_check_keys``.  ``dst`` is empty or holds
+    valid keys, and belongs to the caller as ``_merge_rows`` requires; use
+    the returned dict.  The operands are left unchanged.
+
+    One check on the finished sum suffices.  Each field of a product of
+    two valid keys holds a value in [-BIAS, 3*BIAS) (a negative one
+    borrowing from the field above), a range exactly 2**WIDTH wide, so a
+    key stands for one exponent vector across all products and the valid
+    keys of ``dst``.  A key that cancels therefore had a true zero
+    coefficient, and a key that survives with a field out of range has a
+    guard bit set, in the lowest such field.  So terms out of range that
+    cancel completely leave an exact zero, where forming the products one
+    by one would raise ExponentOverflow; a surviving one raises it."""
+    zero = vt.zero
+    for a, b, sign in products:
+        if len(a) < len(b):
+            a, b = b, a
+        if b:
+            dst = _merge_rows(dst, a, [(m - zero, c * sign) for m, c in b.items()])
+    _check_keys(vt, dst)
     return dst
 
 
@@ -383,10 +416,10 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """One row of products per term of the operand with fewer terms
-        (other on a tie), each the larger operand shifted and scaled by
-        that term, merged by ``_merge_rows`` into a dict built for the
-        product."""
+        """A sum of one product, formed by ``_add_products``: one row per
+        term of the operand with fewer terms (other on a tie), each the
+        larger operand shifted and scaled by that term, merged by
+        ``_merge_rows`` into a dict built for the product."""
         vt = self.vt
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -395,18 +428,7 @@ class MultiPoly:
                 return self
             return _poly(vt, {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly.zero(vt)
-        if len(a) < len(b):
-            a, b = b, a
-        zero = vt.zero
-        out = _merge_rows({}, a, [(mb - zero, cb) for mb, cb in b.items()])
-        # distinct true monomials of a product never share a key, even out
-        # of range, so a cancelled key had a true zero coefficient and
-        # checking the surviving keys suffices
-        _check_keys(vt, out)
-        return _poly(vt, out)
+        return _poly(vt, _add_products(vt, {}, ((self.terms, other.terms, 1),)))
 
     __rmul__ = __mul__
 
@@ -603,7 +625,11 @@ def determinant(rows, *, vt: VarTable | None = None) -> MultiPoly:
 
     Cofactor expansion along the sparsest row up to COFACTOR_MAX, Bareiss
     fraction-free elimination beyond.  The empty matrix has determinant 1
-    (pass ``vt`` so the result knows its ring).
+    (pass ``vt`` so the result knows its ring).  Each cofactor sum and
+    each Bareiss numerator accumulates its products into one term dict
+    (``_add_products``), so products whose terms leave the exponent range
+    but cancel completely give an exact zero; a surviving one raises
+    ExponentOverflow.
     """
     k = len(rows)
     for row in rows:
@@ -628,18 +654,18 @@ def _det_cofactor(rows, vt) -> MultiPoly:
     if k == 1:
         return rows[0][0]
     if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        (a, b), (c, d) = rows
+        return _poly(vt, _add_products(vt, {}, ((a.terms, d.terms, 1),
+                                                (b.terms, c.terms, -1))))
     weights = [sum(e.n_terms() for e in row) for row in rows]
     r = weights.index(min(weights))
     rest = [row for idx, row in enumerate(rows) if idx != r]
-    total = MultiPoly.zero(vt)
-    for c, entry in enumerate(rows[r]):
-        if entry.is_zero():
-            continue
-        minor = [[row[j] for j in range(k) if j != c] for row in rest]
-        cof = entry * _det_cofactor(minor, vt)
-        total = total + cof if (r + c) % 2 == 0 else total - cof
-    return total
+    cofactors = ((entry.terms,
+                  _det_cofactor([[row[j] for j in range(k) if j != c] for row in rest],
+                                vt).terms,
+                  -1 if (r + c) % 2 else 1)
+                 for c, entry in enumerate(rows[r]) if entry.terms)
+    return _poly(vt, _add_products(vt, {}, cofactors))
 
 
 def _det_bareiss(rows, vt) -> MultiPoly:
@@ -657,7 +683,9 @@ def _det_bareiss(rows, vt) -> MultiPoly:
         piv = m[p][p]
         for r in range(p + 1, k):
             for c in range(p + 1, k):
-                m[r][c] = exact_div(piv * m[r][c] - m[r][p] * m[p][c], prev)
+                num = _add_products(vt, {}, ((piv.terms, m[r][c].terms, 1),
+                                             (m[r][p].terms, m[p][c].terms, -1)))
+                m[r][c] = exact_div(_poly(vt, num), prev)
             m[r][p] = MultiPoly.zero(vt)
         prev = piv
     det = m[k - 1][k - 1]
@@ -867,7 +895,7 @@ class TruncatedSeries:
             if not src:
                 continue
             dst = _merge_rows(out[k].copy(), src, offs)
-            # as in MultiPoly.__mul__, a cancelled key had a true zero
+            # as in _add_products, a cancelled key had a true zero
             # coefficient, so checking the surviving keys suffices
             _check_keys(vt, dst)
             out[k] = dst

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import MultiPoly, VarTable, linear_factor
+from .algebra import (MultiPoly, VarTable, _add_products, _merge_rows, _poly,
+                      linear_factor)
 from .partitions import as_parts, is_strict
 
 CHAR_KINDS = ("glChar", "spChar", "soChar")
@@ -407,18 +408,30 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # the rules coupling row i+1 to row i only read, per cell, the entry
 # directly above, and the admissibility threshold each top entry imposes
 # on the cell below it depends on the top entry alone.  So we sweep rows
-# top to bottom keeping, for each candidate row content r (from
-# _row_ranks, without floors), the polynomial H_i(r) = sum of weights of
-# all fillings of rows 1..i ending in r, bucket the H_i by the threshold
-# vector their row imposes (_floors), prefix-sum the buckets and read
-# each H_{i+1}(r') off with one lookup.  Thresholds and candidates both
-# weakly increase, so the prefix sums run over weakly increasing keys up
-# to the largest candidate (headed by the diagonal group in the sp/so Q
-# kinds), last coordinate first.  That is exact: once coordinates d+1..
-# are summed and those before d fixed, a key whose coordinate d drops
-# below coordinate d-1 could only hold a threshold vector that does not
-# weakly increase, so it is absent and reads as zero.  test_tableaux
-# pins this against the naive per-tableau sum.
+# top to bottom.  Each candidate row content r of row i (from _row_ranks,
+# without floors) has weight w(r); its product with the sum of weights of
+# all fillings of rows 1..i-1 that admit r (1 on row 1) goes straight
+# into the bucket of the threshold vector r imposes on row i+1 (_floors),
+# or into the total on the last row.  The buckets are prefix-summed and
+# row i+1 reads each of its candidates' sums off with one lookup.
+# Thresholds and candidates both weakly increase, so the prefix sums run
+# over weakly increasing keys up to the largest candidate (headed by the
+# diagonal group in the sp/so Q kinds), last coordinate first.  That is
+# exact: once coordinates d+1.. are summed and those before d fixed, a
+# key whose coordinate d drops below coordinate d-1 could only hold a
+# threshold vector that does not weakly increase, so it is absent and
+# reads as zero.  test_tableaux pins this against the naive per-tableau
+# sum.
+#
+# Every sum is a term dict private to this function, updated in place;
+# no polynomial is built per product.  Products accumulate through
+# algebra._add_products, which checks each finished bucket once, so each
+# level's keys are checked once before the next level multiplies them,
+# and sums of checked keys need no further check.  A prefix step adds
+# the dict at key - e_d into the one at key, the smaller into the
+# larger, which is written in place if only this key holds it and copied
+# first otherwise; a key with no dict of its own takes its neighbour's,
+# and the two then share it.
 
 
 def _row_candidates(kind, alpha, n, i, width, vt):
@@ -447,44 +460,53 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
     spso_q = kind in ("spQ", "soQ")
-    zero_p = MultiPoly.zero(vt)
-    H = dict(_row_candidates(kind, alpha, n, 1, parts[0], vt))
-
-    for i in range(2, len(parts) + 1):
-        width = parts[i - 1]
-        # bucket previous level by threshold vector (plus the diagonal
-        # group bound for the sp/so Q kinds)
-        table: dict[tuple, MultiPoly] = {}
-        for ranks, h in H.items():
-            th = _floors(kind, alpha, ranks, width)
-            if spso_q:
-                th = (alpha[ranks[0]].k + 1,) + th
-            got = table.get(th)
-            table[th] = h if got is None else got + h
+    one = MultiPoly.one(vt).terms
+    table: dict[tuple, dict] = {}
+    for i, width in enumerate(parts, start=1):
+        below = parts[i] if i < len(parts) else None
+        # the products w * acc of row i, by the bucket they go into: the
+        # threshold vector on row i+1 (plus the diagonal group bound for
+        # the sp/so Q kinds), or () for the total on the last row
+        buckets: dict[tuple, list] = {}
+        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
+            if i == 1:
+                acc = one
+            else:
+                acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
+                if not acc:
+                    continue
+            th = ()
+            if below is not None:
+                th = _floors(kind, alpha, ranks, below)
+                if spso_q:
+                    th = (alpha[ranks[0]].k + 1,) + th
+            buckets.setdefault(th, []).append((w.terms, acc, 1))
+        if below is None:
+            return _poly(vt, _add_products(vt, {}, buckets[()]))
+        table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
 
         # prefix sums in place; lexicographic order updates key - e_d
         # before key
-        keys = list(combinations_with_replacement(range(len(alpha)), width))
+        keys = list(combinations_with_replacement(range(len(alpha)), below))
         if spso_q:
             keys = [(g,) + key for g in range(n + 1) for key in keys]
+        private = set(table)  # keys whose dict no other key holds
         for d in reversed(range(len(keys[0]))):
             for key in keys:
                 if key[d]:
-                    prev = table.get(key[:d] + (key[d] - 1,) + key[d + 1:])
-                    if prev:
-                        cur = table.get(key)
-                        table[key] = cur + prev if cur else prev
-
-        newH: dict[tuple, MultiPoly] = {}
-        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
-            acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
-            if acc:
-                newH[ranks] = w * acc
-        H = newH
-        if not H:
-            return zero_p
-
-    total = zero_p
-    for h in H.values():
-        total = total + h
-    return total
+                    low = key[:d] + (key[d] - 1,) + key[d + 1:]
+                    src = table.get(low)
+                    if not src:
+                        continue
+                    dst = table.get(key)
+                    if not dst:
+                        table[key] = src
+                        private.discard(low)
+                        private.discard(key)
+                        continue
+                    if len(dst) < len(src):
+                        dst, src = dict(src), dst
+                    elif key not in private:
+                        dst = dict(dst)
+                    private.add(key)
+                    table[key] = _merge_rows(dst, src, ((0, 1),))

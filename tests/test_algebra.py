@@ -22,7 +22,7 @@ from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            sorted_terms, specialize, vartable, vartable_for,
                            xbar, xv, ybar, yv)
 from charq.lattice import _edge_weight
-from charq.tableaux import Entry, cell_weight, tableau_weight_sum
+from charq.tableaux import Entry, alphabet, cell_weight, tableau_weight_sum
 
 from oracles import perm_determinant
 
@@ -344,6 +344,113 @@ def test_large_matrix_takes_bareiss_path():
              MultiPoly.const(VT, (i * i + j) % 3) * xv(VT, (i + j) % 2 + 1)
              for j in range(k)] for i in range(k)]
     assert determinant(rows) == perm_determinant(rows, VT)
+
+
+# -- sums of products -----------------------------------------------------------
+
+
+@st.composite
+def product_sums(draw):
+    """A starting polynomial and up to four signed products of Laurent
+    polynomials with int or Fraction coefficients; some products come
+    back with their factors swapped and the sign flipped, so that whole
+    products cancel, and the factors share monomials, so terms cancel
+    across products."""
+    coeff = draw(st.sampled_from((coeffs, rationals)))
+    factor = polys(max_terms=4, coeff=coeff)
+    start = draw(polys(max_terms=4, coeff=coeff))
+    prods = draw(st.lists(st.tuples(factor, factor, st.sampled_from((1, -1))),
+                          max_size=4))
+    for a, b, sign in list(prods):
+        if draw(st.booleans()):
+            prods.insert(draw(st.integers(min_value=0, max_value=len(prods))),
+                         (b, a, -sign))
+    return start, prods
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_sums())
+def test_accumulated_sum_of_products_matches_mul_and_add(case):
+    start, prods = case
+    want = start
+    for a, b, sign in prods:
+        want = want + a * b if sign == 1 else want - a * b
+    held = [start] + [p for a, b, _ in prods for p in (a, b)]
+    before = [dict(p.terms) for p in held]
+    got = algebra._add_products(VT, dict(start.terms),
+                                [(a.terms, b.terms, sign) for a, b, sign in prods])
+    assert got == want.terms
+    assert all(got.values())                    # no zero coefficient stored
+    assert [p.terms for p in held] == before    # no operand updated in place
+
+
+def test_determinant_with_two_equal_rows_is_exactly_zero():
+    r = [xv(VT, 1) + av(VT, 1), xbar(VT, 2) - yv(VT, 1), ybar(VT, 3) + 3]
+    s = [yv(VT, 2), _x(1, -2) + av(VT, 2), MultiPoly.const(VT, Fraction(1, 2))]
+    assert determinant([r, s, r]).terms == {}
+    assert determinant([r[:2], r[:2]]).terms == {}
+    k = COFACTOR_MAX + 1
+    big = [[xv(VT, (i + j) % 3 + 1) + MultiPoly.const(VT, i * j % 5)
+            for j in range(k)] for i in range(k)]
+    big[3] = list(big[1])
+    assert algebra._det_bareiss(big, VT).terms == {}
+
+
+def test_out_of_range_products_that_survive_raise():
+    top, x1 = _x(1, BIAS - 1), _x(1)
+    # x1^BIAS - x2*x3: the out-of-range term survives the sum
+    with pytest.raises(ExponentOverflow):
+        determinant([[top, _x(2)], [_x(3), x1]])
+    # x1^BIAS cancels against one product but a second copy survives
+    with pytest.raises(ExponentOverflow):
+        algebra._add_products(VT, {}, [(top.terms, x1.terms, 1),
+                                       (x1.terms, top.terms, -1),
+                                       ((top + _x(2)).terms, x1.terms, 1)])
+    # below the range, and past the range in the total degree only
+    low, half = _x(1, -BIAS), BIAS // 2
+    for a, b in ((low, _x(1, -1)), (_x(1, half), _x(2, half))):
+        with pytest.raises(ExponentOverflow):
+            algebra._add_products(VT, {}, [(a.terms, b.terms, 1),
+                                           (a.terms, _x(3).terms, 1)])
+
+
+def test_out_of_range_products_that_cancel_completely_give_zero():
+    """Forming x1^(BIAS-1) * x1 alone raises ExponentOverflow, but a sum
+    of products in which every out-of-range term cancels is an exact zero
+    (``_add_products``: a key stands for one exponent vector across all
+    products, so a cancelled key had a true zero coefficient)."""
+    top, x1 = _x(1, BIAS - 1), _x(1)
+    with pytest.raises(ExponentOverflow):
+        top * x1
+    assert determinant([[top, top], [x1, x1]]) == MultiPoly.zero(VT)
+    low = _x(1, -BIAS)
+    assert determinant([[low, low], [_x(1, -1), _x(1, -1)]]).is_zero()
+    # a surviving in-range term is kept
+    got = algebra._add_products(VT, {}, [(top.terms, x1.terms, 1),
+                                         (x1.terms, (top + _x(2)).terms, -1)])
+    assert got == (-(x1 * _x(2))).terms
+
+
+def test_sums_of_products_leave_operands_and_cached_factors_unchanged():
+    vt = vartable_for(2, 3)
+    factors = [linear_factor(vt, vt.x_pos(1), 1, 1, 1),
+               linear_factor(vt, vt.y_pos(2), -1, 2, -1),
+               linear_factor(vt, None, 0, 3, -1),
+               linear_factor(vt, vt.x_pos(2), -1, 0, 1)]
+    cells = [cell_weight(vt, kind, 2, e, i, j) for kind in ("glQ", "soQ")
+             for e in alphabet(kind, 2) for i, j in ((1, 1), (1, 2), (2, 2))]
+    held = factors + cells
+    before = [dict(p.terms) for p in held]
+    f = factors
+    for rows in ([[f[0]]], [[f[0], f[1]], [f[2], f[3]]],
+                 [[f[0], f[1], f[2]], [f[3], f[0], f[1]], [f[2], f[3], f[0]]]):
+        determinant(rows)
+    algebra._add_products(vt, {}, [(f[0].terms, f[1].terms, 1),
+                                   (f[2].terms, f[3].terms, -1)])
+    sums = [tableau_weight_sum(kind, (2, 1), 2, vt) for kind in ("glQ", "soQ")]
+    assert [p.terms for p in held] == before
+    assert [tableau_weight_sum(kind, (2, 1), 2, vt)
+            for kind in ("glQ", "soQ")] == sums
 
 
 # -- factorial powers ----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Q-function routes, generating families, recursions, Tokuyama."""
 
+from itertools import combinations, product
+
 import pytest
 
 from charq.algebra import (MultiPoly, add_a, av, specialize, vartable_for,
@@ -111,6 +113,47 @@ def _so_printed_q(m, d, vt):
     for k in range(1, m + 1):
         s = s.mul_linear(av(vt, k))
     return s.coeff(m)
+
+
+def _q_md_brute(kind, m, d, vt):
+    """[t^m] of q_md's generating function, expanded by brute force over
+    bounded exponents: each geometric factor 1/(1 - t u) gives u^e for
+    some 0 <= e <= m, each linear factor (1 + t v) gives 1 or v, and the
+    choices whose exponents add up to m are summed.  The factors are
+    stated here from the definition: 1/(1 - t x_i) for i = d..n and
+    (1 + t y_j) for j = d+1..n, each joined by its inverse (xbar_i,
+    ybar_j) for spQ and soQ; for soQ one (1 + t) for the fixed
+    eigenvalue; and (1 + t a_k) for k = 1..m, stopping at m - 1 for soQ."""
+    n = vt.n
+    pairs = ((xv, yv),) if kind == "glQ" else ((xv, yv), (xbar, ybar))
+    geometric = [x(vt, i) for i in range(d, n + 1) for x, _ in pairs]
+    linear = [y(vt, j) for j in range(d + 1, n + 1) for _, y in pairs]
+    if kind == "soQ":
+        linear.append(MultiPoly.one(vt))
+    limit = m - 1 if kind == "soQ" else m
+    linear += [av(vt, k) for k in range(1, limit + 1)]
+    total = MultiPoly.zero(vt)
+    for exps in product(range(m + 1), repeat=len(geometric)):
+        rest = m - sum(exps)
+        if rest < 0:
+            continue
+        for chosen in combinations(linear, rest):
+            term = MultiPoly.one(vt)
+            for u, e in zip(geometric, exps):
+                term = term * u ** e
+            for v in chosen:
+                term = term * v
+            total = total + term
+    return total
+
+
+@pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
+def test_q_md_matches_brute_force_expansion(kind):
+    for n in (1, 2):
+        vt = vartable_for(n, 3)
+        for d in range(1, n + 1):
+            for m in range(0, 4):
+                assert q_md(kind, m, d, vt) == _q_md_brute(kind, m, d, vt), (n, d, m)
 
 
 def test_f_examples():
