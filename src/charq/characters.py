@@ -18,6 +18,8 @@ factorial parameters a_k:
   denominator determinant is built from its own matrix and checked equal
   to the product of those factors (AlgebraError otherwise), and every
   entry division must leave no remainder (NonExactDivision otherwise).
+  Each reduced column depends on one order m only, so it is reduced once
+  and kept beside the checked factors it was divided by.
 * ``char_flagged_jt``    -- flagged Jacobi-Trudi determinant, division
   free; the default route.
 * ``char_combinatorial`` -- weighted sum over the kind's tableaux.
@@ -27,9 +29,9 @@ over the flagged alphabet x_d..x_n; ``one_part_expansion`` is the closed
 multi-index sum for one-row shapes.
 
 Everything here is a pure function of immutable values.  The h cache is
-keyed by (kind, m, alphabet range, table) and the checked ratio
-denominators by (kind, table, route), so a cached value is the value a
-fresh computation would give.
+keyed by (kind, m, alphabet range, table); the checked ratio factors and
+the columns reduced by them share one entry per (kind, table, route), so
+a cached value is the value a fresh computation would give.
 """
 
 from __future__ import annotations
@@ -155,10 +157,16 @@ def ratio_factors(kind: str, vt: VarTable, route: str):
 
 @lru_cache(maxsize=None)
 def _ratio_denominator(kind: str, vt: VarTable, route: str):
-    """``ratio_factors`` of the route, checked: the denominator
-    determinant, built from the route's own matrix |entry(n - j, i)|, must
-    equal their product, else AlgebraError.  Cached per (kind, table,
-    route), so per n; an error leaves no entry."""
+    """``ratio_factors`` of the route, checked, and the route's reduced
+    numerator columns, as (scales, pairs, columns).
+
+    The denominator determinant, built from the route's own matrix
+    |entry(n - j, i)|, must equal the factors' product, else AlgebraError
+    and no entry.  ``columns`` starts empty; ``_det_ratio`` fills it with
+    one reduced column per order m.  Factors and columns share the entry
+    per (kind, table, route), so a column is only ever reduced by the
+    factors checked here, and ``cache_clear`` drops both together.
+    """
     n = vt.n
     entry = _RATIO_ENTRIES[route]
     den = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
@@ -167,7 +175,7 @@ def _ratio_denominator(kind: str, vt: VarTable, route: str):
     if den != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
         raise AlgebraError(f"{route} denominator of kind {kind!r}, n={n} is "
                            "not the product of its Weyl factors")
-    return scales, pairs
+    return scales, pairs, {}
 
 
 def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
@@ -184,22 +192,27 @@ def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
     factors come from ``_ratio_denominator``, which checks their product
     against the denominator determinant (AlgebraError on a mismatch); each
     entry division is exact_div, so a remainder raises NonExactDivision.
+
+    The row operations act on each column alone, and column j depends on
+    m = lam_j + n - j only, so each column is reduced once per
+    (kind, table, route) and kept in the ``columns`` dict of that
+    ``_ratio_denominator`` entry, next to the factors it was divided by.
     """
     parts = _check_partition(kind, lam, vt)
     n = vt.n
-    full = _padded(parts, n)
-    scales, pairs = _ratio_denominator(kind, vt, route)
+    orders = [m + n - j for j, m in enumerate(_padded(parts, n), 1)]
+    scales, pairs, columns = _ratio_denominator(kind, vt, route)
     entry = _RATIO_ENTRIES[route]
-    rows = [[entry(kind, full[j - 1] + n - j, i, vt) for j in range(1, n + 1)]
-            for i in range(1, n + 1)]
-    for row, s in zip(rows, scales):
-        row[:] = [exact_div(e, s) for e in row]
-    for k in range(1, n):
-        for i in range(n, k, -1):
-            p = pairs[i - k, i]
-            rows[i - 1] = [exact_div(e - f, p)
-                           for e, f in zip(rows[i - 1], rows[i - 2])]
-    return determinant(rows, vt=vt)
+    for m in [m for m in orders if m not in columns]:
+        col = [entry(kind, m, i, vt) for i in range(1, n + 1)]
+        for i, s in enumerate(scales):
+            col[i] = exact_div(col[i], s)
+        for k in range(1, n):
+            for i in range(n, k, -1):
+                col[i - 1] = exact_div(col[i - 1] - col[i - 2],
+                                       pairs[i - k, i])
+        columns[m] = tuple(col)
+    return determinant(list(zip(*(columns[m] for m in orders))), vt=vt)
 
 
 def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:

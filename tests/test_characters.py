@@ -1,5 +1,7 @@
 """Character routes, h families, one-part expansions, classical limits."""
 
+import random
+
 import pytest
 
 from charq import characters
@@ -363,14 +365,64 @@ def test_wrong_or_missing_factor_raises(fresh_ratio_cache, monkeypatch,
     assert fresh_ratio_cache.cache_info().currsize == 0
 
 
+def _misplaced(kind, vt, route):
+    (s1, s2), pairs = ratio_factors(kind, vt, route)
+    return [s1 * s2, MultiPoly.one(vt)], pairs
+
+
 def test_misplaced_factor_fails_an_entry_division(fresh_ratio_cache,
                                                   monkeypatch):
     # the product still equals the denominator, so only the division by
     # the factor of the wrong row can catch it
-    def misplaced(kind, vt, route):
-        (s1, s2), pairs = ratio_factors(kind, vt, route)
-        return [s1 * s2, MultiPoly.one(vt)], pairs
-
-    monkeypatch.setattr(characters, "ratio_factors", misplaced)
+    monkeypatch.setattr(characters, "ratio_factors", _misplaced)
     with pytest.raises(NonExactDivision):
         char_definitional("sp", (2, 1), vartable_for(2, 2))
+
+
+@pytest.mark.parametrize("fake,error", [(_misplaced, NonExactDivision),
+                                        (_without_row_scales, AlgebraError)],
+                         ids=lambda v: v.__name__)
+def test_reduced_columns_are_cleared_with_their_factors(
+        fresh_ratio_cache, monkeypatch, fake, error):
+    # columns reduced by the true factors must not outlive them: after a
+    # clear, wrong factors are checked or divided again, never bypassed
+    vt = vartable_for(2, 2)
+    char_definitional("sp", (2, 1), vt)
+    fresh_ratio_cache.cache_clear()
+    monkeypatch.setattr(characters, "ratio_factors", fake)
+    with pytest.raises(error):
+        char_definitional("sp", (2, 1), vt)
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_each_ratio_column_is_reduced_once_per_table(fresh_ratio_cache,
+                                                     monkeypatch, kind):
+    n = 3
+    vt = vartable_for(n, 2)
+    shapes = [lam.parts for lam in enumerate_partitions(2, n)]
+    orders = {m + n - j for lam in shapes
+              for j, m in enumerate(lam + (0,) * (n - len(lam)), 1)}
+    routes = [(char_definitional, "def", _def_entry),
+              (char_hdet, "hdet", h_one_var)]
+    expected = {(route, lam): _ratio_by_expansion(kind, lam, vt, entry)
+                for lam in shapes for route, _, entry in routes}
+    # per column: one division per row scale, one per pair factor
+    per_column = sum(len(ratio_factors(kind, vt, name)[0]) + n * (n - 1) // 2
+                     for _, name, _ in routes)
+    divisions = []
+
+    def counted(num, den):
+        divisions.append(1)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(characters, "exact_div", counted)
+    counts = []
+    for seed in (1, 2):
+        fresh_ratio_cache.cache_clear()
+        divisions.clear()
+        calls = [(route, lam) for lam in shapes for route, _, _ in routes]
+        random.Random(seed).shuffle(calls)
+        for route, lam in calls:
+            assert route(kind, lam, vt) == expected[route, lam]
+        counts.append(len(divisions))
+    assert counts == [len(orders) * per_column] * 2
