@@ -222,6 +222,33 @@ def _check_keys(vt: VarTable, keys) -> None:
         raise ExponentOverflow(f"exponent or degree left [-{BIAS}, {BIAS})")
 
 
+def _sum(a: dict, b: dict) -> dict:
+    """The sum of two term dicts: a copy of the one with more terms (``a``
+    on a tie) with the other one's terms added; a key whose sum cancels is
+    dropped.  An empty operand gives the other one itself, so the result
+    may be an operand; neither operand is written.  Callers:
+    ``MultiPoly.__add__`` and the prefix sums of
+    ``tableaux.tableau_weight_sum``."""
+    if not b:
+        return a
+    if not a:
+        return b
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s = s + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 def _merge_rows(dst: dict, src: dict, rows) -> dict:
     """Add into ``dst``, for each (offset, coeff) in ``rows``, the terms of
     ``src`` with their keys shifted by offset and their coefficients
@@ -233,10 +260,7 @@ def _merge_rows(dst: dict, src: dict, rows) -> dict:
     ``dst`` is updated in place, so it must belong to the caller: a dict
     the caller has just built or copied, which no polynomial, series or
     other caller holds.  Use the returned dict.  Callers:
-    ``_add_products`` (``MultiPoly.__mul__``, the cofactor and Bareiss
-    determinants and the fused tableau sum),
-    ``TruncatedSeries._shift_merge``, ``specialize`` and the prefix sums
-    of ``tableaux.tableau_weight_sum``."""
+    ``_add_products`` and ``TruncatedSeries._shift_merge``."""
     rows = iter(rows)
     if not dst:
         for off, cv in rows:
@@ -265,7 +289,10 @@ def _add_products(vt: VarTable, dst: dict, products) -> dict:
     ``_merge_rows`` row per term of the smaller operand, then check the
     finished sum once with ``_check_keys``.  ``dst`` is empty or holds
     valid keys, and belongs to the caller as ``_merge_rows`` requires; use
-    the returned dict.  The operands are left unchanged.
+    the returned dict.  The operands are left unchanged.  Callers:
+    ``MultiPoly.__mul__``, the cofactor and Bareiss determinants,
+    ``specialize`` and the buckets and total of
+    ``tableaux.tableau_weight_sum``.
 
     One check on the finished sum suffices.  Each field of a product of
     two valid keys holds a value in [-BIAS, 3*BIAS) (a negative one
@@ -376,31 +403,11 @@ class MultiPoly:
             raise VarTableMismatch("operands use different variable tables")
 
     def __add__(self, other):
-        """Copies the term dict of the operand with more terms (self on a
-        tie) and loops over the other one's terms; a key whose sum cancels
-        is dropped."""
+        """The sum of the two term dicts, by ``_sum``."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vt, other)
         self._check(other)
-        a, b = self.terms, other.terms
-        if not b:
-            return self
-        if not a:
-            return other
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return _poly(self.vt, out)
+        return _poly(self.vt, _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -710,12 +717,13 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
 
     Unbound variables pass through.  A variable occurring with negative
     exponents may only be bound to a single invertible monomial
-    (NonInvertibleBinding otherwise).  Each distinct product of bound
-    powers is formed once, then merged by ``_merge_rows`` with one row per
-    term that uses it: shifted by the term's unbound part, scaled by its
-    coefficient.  Each term's shifted keys are checked before any merge,
-    so a term whose unbound part, or whose shifted product, leaves the
-    exponent range raises ExponentOverflow.
+    (NonInvertibleBinding otherwise).  The result is the sum, over the
+    distinct products of bound powers, of each product times the unbound
+    parts of the terms that use it, formed once each and summed by one
+    ``_add_products`` call.  A term whose unbound part leaves the exponent
+    range raises ExponentOverflow; of the terms out of range in the sum,
+    those that cancel completely give an exact zero, and a surviving one
+    raises ExponentOverflow.
     """
     vt = p.vt
     bound: dict[int, MultiPoly] = {}
@@ -749,13 +757,11 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
         return val
 
     slots = [(pos, vt.shifts[pos], vt.units[pos]) for pos in sorted(bound)]
-    zero = vt.zero
     # a valid key lies in [0, guard bit of the degree field); the unbound
-    # part of a term must be one, as _check_keys only sees fields that
-    # leave the range by less than 2*BIAS
+    # part of a term must be one, as _add_products takes valid keys only
     top = _GUARD << (WIDTH * vt.size)
-    # bound-power product -> (its terms, one (offset, coeff) row per term)
-    groups: dict[tuple, tuple[dict, list]] = {}
+    # bound-power product -> (its terms, the unbound parts of its terms)
+    groups: dict[tuple, tuple[dict, dict]] = {}
     for key, c in p.terms.items():
         binds = []
         rest = key
@@ -772,15 +778,10 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
             val = MultiPoly.one(vt)
             for pos, e in binds:
                 val = val * power(pos, e)
-            group = groups[binds] = (val.terms, [])
-        prod, prod_rows = group
-        off = rest - zero
-        _check_keys(vt, map(off.__add__, prod))
-        prod_rows.append((off, c))
-    out: dict = {}
-    for prod, prod_rows in groups.values():
-        out = _merge_rows(out, prod, prod_rows)
-    return _poly(vt, out)
+            group = groups[binds] = (val.terms, {})
+        group[1][rest] = c
+    return _poly(vt, _add_products(vt, {}, ((prod, rests, 1)
+                                            for prod, rests in groups.values())))
 
 
 def at_a_zero(p: MultiPoly) -> MultiPoly:

@@ -301,16 +301,16 @@ def one_part_expansion(kind: str, m: int, vt: VarTable) -> MultiPoly:
 
 def _word_sum(letters, length: int, vt: VarTable) -> MultiPoly:
     """Sum over weakly increasing words of ``letters`` (pairs (v, offset))
-    of the products of v + a_{offset + pos} over the word's positions."""
-    total = MultiPoly.zero(vt)
+    of the products of v + a_{offset + pos} over the word's positions.
 
-    def rec(pos: int, start: int, w: MultiPoly):
-        nonlocal total
-        if pos == length:
-            total = total + w
-            return
-        for idx in range(start, len(letters)):
-            v, offset = letters[idx]
-            rec(pos + 1, idx, w * add_a(v, offset + pos))
-    rec(0, 0, MultiPoly.one(vt))
-    return total
+    A prefix recursion over the positions: after pos letters, upto[i] is
+    the sum over the words whose letters are all among the first i + 1, so
+    the words of length pos + 1 ending in letter i sum to upto[i] times
+    that letter's factor, and their prefix sums are the next upto."""
+    upto = [MultiPoly.one(vt)] * len(letters)
+    for pos in range(length):
+        total = MultiPoly.zero(vt)
+        for i, (v, offset) in enumerate(letters):
+            total = total + upto[i] * add_a(v, offset + pos)
+            upto[i] = total
+    return upto[-1]

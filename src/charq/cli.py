@@ -23,12 +23,13 @@ import json
 import os
 import sys
 
-from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_obj,
-                      poly_to_text, vartable_for)
+from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_json,
+                      poly_to_obj, poly_to_text, vartable_for)
 from .characters import CHAR_ROUTES, GROUP_KINDS, character
 from .lattice import paths_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
-from .tableaux import ALL_KINDS, check_shape, enumerate_tableaux
+from .tableaux import (ALL_KINDS, check_shape, count_tableaux,
+                       enumerate_tableaux)
 from .verify import SUITE_TABLE, SUITES, run_suite
 
 USAGE_ERROR = 2
@@ -52,7 +53,7 @@ def _parse_parts(text: str | None) -> tuple[int, ...]:
 
 def _emit_poly(p: MultiPoly, out: str) -> str:
     if out == "json":
-        return json.dumps(poly_to_obj(p), separators=(",", ":"))
+        return poly_to_json(p)
     return poly_to_text(p)
 
 
@@ -116,7 +117,7 @@ def cmd_tableaux(args) -> int:
     except ValueError as exc:
         raise SpecError(str(exc))
     if args.count:
-        print(sum(1 for _ in enumerate_tableaux(args.kind, parts, args.n)))
+        print(count_tableaux(args.kind, parts, args.n))
         return 0
     vt = vartable_for(args.n, parts[0] if parts else 0)
     # edge texts of this command's stream, shared across its tableaux
@@ -136,21 +137,28 @@ def _suite_params(name: str):
     return inspect.signature(SUITE_TABLE[name]).parameters
 
 
+def _flag(param: str) -> str:
+    return "--" + param.replace("_", "-")
+
+
 def cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
     if args.suite != "all" and args.suite not in SUITES:
         raise SpecError(f"--suite must be one of {', '.join(SUITES)} or 'all'")
     if args.suite == "all" and args.kind:
         raise SpecError("--kind needs a single suite; no kind is valid for every suite")
-    if args.n_max < 1:
+    # only the grid flags given are passed on; the suites hold the defaults
+    kw = {k: getattr(args, k) for k in ("n_max", "lambda_max", "mu_max", "m_max")
+          if getattr(args, k) is not None}
+    if kw.get("n_max", 1) < 1:
         raise SpecError("--n-max must be at least 1")
-    for flag in ("lambda_max", "mu_max", "m_max"):
-        if getattr(args, flag) < 0:
-            raise SpecError(f"--{flag.replace('_', '-')} must be nonnegative")
-    kw = {"n_max": args.n_max, "lambda_max": args.lambda_max,
-          "mu_max": args.mu_max, "m_max": args.m_max}
-    if args.kind:
-        kw["kind"] = args.kind
+    for param, value in kw.items():
+        if value < 0:
+            raise SpecError(f"{_flag(param)} must be nonnegative")
+    if args.suite != "all":
+        for param in kw:
+            if param not in _suite_params(args.suite):
+                raise SpecError(f"{_flag(param)} does not apply to --suite {args.suite}")
     if args.lam is not None or args.n is not None:
         # one explicit shape replaces the grid, so it must be complete and
         # the suite must be able to take it
@@ -159,7 +167,12 @@ def cmd_verify(args) -> int:
                             f"not to --suite {args.suite}")
         if args.lam is None or args.n is None or not args.kind:
             raise SpecError("an explicit shape needs all of --kind, --n and --lambda")
+        if kw:
+            raise SpecError(f"{', '.join(map(_flag, kw))} would be ignored: "
+                            "--n/--lambda replace the grid")
         kw["shapes"] = [(args.kind, _parse_parts(args.lam), args.n)]
+    if args.kind:
+        kw["kind"] = args.kind
     failures = 0
     for name in names:
         params = _suite_params(name)
@@ -225,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--lambda-max", type=int, default=3)
-    p.add_argument("--mu-max", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--lambda-max", type=int, default=None)
+    p.add_argument("--mu-max", type=int, default=None)
+    p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--out", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
     return ap

@@ -126,20 +126,20 @@ def prefactor(kind: str, i: int, j: int, vt: VarTable) -> MultiPoly:
 def q_determinantal(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Sum over all strictly increasing diagonal supports d of the l x l
     determinant with (i, j) entry prefactor(d_i) * q_{lam_j - 1} at flag
-    d_i.  Supports that contribute zero are still enumerated."""
+    d_i.  Row i depends on d_i alone, so each flag's row is built once.
+    Supports that contribute zero are still enumerated."""
     parts = _check_strict(kind, lam, vt)
     n = vt.n
     ell = len(parts)
     if ell == 0:
         return MultiPoly.one(vt)
+    rows = {}
+    for d in range(1, n + 1):
+        pref = prefactor(kind, d, d, vt)
+        rows[d] = [pref * q_md(kind, m - 1, d, vt) for m in parts]
     total = MultiPoly.zero(vt)
-    for d in combinations(range(1, n + 1), ell):
-        rows = []
-        for di in d:
-            pref = prefactor(kind, di, di, vt)
-            rows.append([pref * q_md(kind, parts[j] - 1, di, vt)
-                         for j in range(ell)])
-        total = total + determinant(rows, vt=vt)
+    for support in combinations(range(1, n + 1), ell):
+        total = total + determinant([rows[d] for d in support], vt=vt)
     return total
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .algebra import (MultiPoly, VarTable, _add_products, _merge_rows, _poly,
+from .algebra import (MultiPoly, VarTable, _add_products, _poly, _sum,
                       linear_factor)
 from .partitions import as_parts, is_strict
 
@@ -423,15 +423,13 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # reads as zero.  test_tableaux pins this against the naive per-tableau
 # sum.
 #
-# Every sum is a term dict private to this function, updated in place;
-# no polynomial is built per product.  Products accumulate through
-# algebra._add_products, which checks each finished bucket once, so each
-# level's keys are checked once before the next level multiplies them,
-# and sums of checked keys need no further check.  A prefix step adds
-# the dict at key - e_d into the one at key, the smaller into the
-# larger, which is written in place if only this key holds it and copied
-# first otherwise; a key with no dict of its own takes its neighbour's,
-# and the two then share it.
+# Every sum is a term dict; no polynomial is built per product.  Products
+# accumulate through algebra._add_products, which checks each finished
+# bucket once, so each level's keys are checked once before the next
+# level multiplies them, and sums of checked keys need no further check.
+# A prefix step stores algebra._sum of the dicts at key and key - e_d, so
+# a key with no dict of its own shares its neighbour's, and no dict is
+# written after it is stored.
 
 
 def _row_candidates(kind, alpha, n, i, width, vt):
@@ -485,28 +483,13 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
             return _poly(vt, _add_products(vt, {}, buckets[()]))
         table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
 
-        # prefix sums in place; lexicographic order updates key - e_d
-        # before key
+        # prefix sums; lexicographic order updates key - e_d before key
         keys = list(combinations_with_replacement(range(len(alpha)), below))
         if spso_q:
             keys = [(g,) + key for g in range(n + 1) for key in keys]
-        private = set(table)  # keys whose dict no other key holds
         for d in reversed(range(len(keys[0]))):
             for key in keys:
                 if key[d]:
-                    low = key[:d] + (key[d] - 1,) + key[d + 1:]
-                    src = table.get(low)
-                    if not src:
-                        continue
-                    dst = table.get(key)
-                    if not dst:
-                        table[key] = src
-                        private.discard(low)
-                        private.discard(key)
-                        continue
-                    if len(dst) < len(src):
-                        dst, src = dict(src), dst
-                    elif key not in private:
-                        dst = dict(dst)
-                    private.add(key)
-                    table[key] = _merge_rows(dst, src, ((0, 1),))
+                    src = table.get(key[:d] + (key[d] - 1,) + key[d + 1:])
+                    if src:
+                        table[key] = _sum(table.get(key, {}), src)

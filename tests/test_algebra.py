@@ -683,6 +683,19 @@ def test_specialize_leaving_the_range_raises():
         specialize(p, {f"y{i}": MultiPoly.one(vt) for i in (1, 2, 3)})
 
 
+def test_specialize_out_of_range_terms_that_cancel_completely_give_zero():
+    """x1^(BIAS-1) y1^-1 (x2 - x3) with x2, x3 -> x1: each term alone
+    leaves the range in x1, but the two cancel, so the substitution is
+    one exact sum (``_add_products``) and gives zero; a third term that
+    survives still raises ExponentOverflow."""
+    head = _x(1, BIAS - 1) * ybar(VT, 1)
+    to_x1 = {"x2": xv(VT, 1), "x3": xv(VT, 1), "a1": xv(VT, 1)}
+    assert specialize(head * (xv(VT, 2) - xv(VT, 3)), to_x1) == MultiPoly.zero(VT)
+    assert specialize(head * (xv(VT, 2) - xv(VT, 3)) + yv(VT, 2), to_x1) == yv(VT, 2)
+    with pytest.raises(ExponentOverflow):
+        specialize(head * (xv(VT, 2) - xv(VT, 3) + av(VT, 1)), to_x1)
+
+
 def test_permute_variables_relabels():
     p = _x(1, 2) * yv(VT, 1) + xbar(VT, 1)
     got = permute_variables(p, {"x1": "x2", "x2": "x1"})

@@ -1,12 +1,13 @@
 """Character routes, h families, one-part expansions, classical limits."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from charq import characters
 from charq.algebra import (AIndexOutOfRange, AlgebraError, MultiPoly,
-                           NonExactDivision, av, determinant, exact_div,
+                           NonExactDivision, add_a, av, determinant, exact_div,
                            factorial_power, permute_variables, specialize,
                            vartable_for, xbar, xv)
 from charq.characters import (_def_entry, _ratio_denominator,
@@ -171,13 +172,43 @@ def test_one_part_sp_so_examples():
         xv(vt, 1) + xbar(vt, 1) + MultiPoly.one(vt) + av(vt, 1)
 
 
+def _one_part_brute_force(kind, m, vt):
+    """The one-part sum by direct enumeration of its weakly increasing
+    words: gl's letters are (x_i, offset i); sp's are x_1, xbar_1, ..,
+    x_n, xbar_n with offset the letter's number (from 1) less n, so's the
+    same offsets plus one; so adds the words of length m - 1 times
+    (1 - a_{m+n})."""
+    n = vt.n
+    if kind == "gl":
+        letters = [(xv(vt, i), i) for i in range(1, n + 1)]
+    else:
+        seq = [(x, k) for k in range(1, n + 1) for x in (xv, xbar)]
+        letters = [(x(vt, k), num - n + (kind == "so"))
+                   for num, (x, k) in enumerate(seq, 1)]
+
+    def words(length):
+        total = MultiPoly.zero(vt)
+        for word in combinations_with_replacement(letters, length):
+            w = MultiPoly.one(vt)
+            for pos, (v, offset) in enumerate(word):
+                w = w * add_a(v, offset + pos)
+            total = total + w
+        return total
+
+    total = words(m)
+    if kind == "so" and m:
+        total = total + words(m - 1) * (MultiPoly.one(vt) - av(vt, m + n))
+    return total
+
+
 @pytest.mark.parametrize("kind", ["gl", "sp", "so"])
 def test_one_part_matches_h(kind):
     for n in (1, 2, 3):
         for m in range(0, 5):
             vt = vartable_for(n, m)
-            assert one_part_expansion(kind, m, vt) == \
-                h_factorial(kind, m, 1, vt), (kind, n, m)
+            got = one_part_expansion(kind, m, vt)
+            assert got == h_factorial(kind, m, 1, vt), (kind, n, m)
+            assert got == _one_part_brute_force(kind, m, vt), (kind, n, m)
 
 
 # -- difference relations and denominators -----------------------------------------

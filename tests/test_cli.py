@@ -309,6 +309,12 @@ def test_usage_errors_exit_2(capsys):
     ("--suite", "routes", "--lambda-max", "-1"),
     ("--suite", "all", "--mu-max", "-1"),
     ("--suite", "h-diff", "--m-max", "-1"),
+    # grid flags the suite does not take, or beside an explicit shape
+    ("--suite", "routes", "--mu-max", "5"),
+    ("--suite", "tokuyama", "--lambda-max", "9", "--n-max", "1"),
+    ("--suite", "h-diff", "--lambda-max", "7", "--n-max", "1", "--m-max", "1"),
+    ("--suite", "lgv", "--kind", "glChar", "--n", "2", "--lambda", "2,1",
+     "--n-max", "3", "--lambda-max", "0"),
 ])
 def test_verify_rejects_ignored_or_vacuous_arguments(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
