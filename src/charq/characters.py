@@ -292,25 +292,27 @@ def one_part_expansion(kind: str, m: int, vt: VarTable) -> MultiPoly:
         base = n - (kind == "so")
         letters = [(x(vt, k), 2 * k - odd - base)
                    for k in range(1, n + 1) for x, odd in ((xv, 1), (xbar, 0))]
-    total = _word_sum(letters, m, vt)
+    *_, shorter, total = _word_sums(letters, m, vt)
     if kind == "so":
         tail = MultiPoly.one(vt) - av(vt, m + n)
-        total = total + _word_sum(letters, m - 1, vt) * tail
+        total = total + shorter * tail
     return total
 
 
-def _word_sum(letters, length: int, vt: VarTable) -> MultiPoly:
-    """Sum over weakly increasing words of ``letters`` (pairs (v, offset))
-    of the products of v + a_{offset + pos} over the word's positions.
+def _word_sums(letters, length: int, vt: VarTable):
+    """Yield, for each length l = 0, 1, .., ``length``, the sum over
+    weakly increasing words of l ``letters`` (pairs (v, offset)) of the
+    products of v + a_{offset + pos} over the word's positions.
 
     A prefix recursion over the positions: after pos letters, upto[i] is
     the sum over the words whose letters are all among the first i + 1, so
     the words of length pos + 1 ending in letter i sum to upto[i] times
     that letter's factor, and their prefix sums are the next upto."""
     upto = [MultiPoly.one(vt)] * len(letters)
+    yield upto[-1]
     for pos in range(length):
         total = MultiPoly.zero(vt)
         for i, (v, offset) in enumerate(letters):
             total = total + upto[i] * add_a(v, offset + pos)
             upto[i] = total
-    return upto[-1]
+        yield upto[-1]

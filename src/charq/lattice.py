@@ -35,9 +35,17 @@ byte for byte, but takes each edge's and each path's text from a memo the
 caller holds.  Edges repeat heavily across a family (equal endpoints, type
 and shared cached weight), so an edge is encoded once per key ``(frm, to,
 kind, id(weight))``; its entry keeps the weight alive, so the id cannot be
-reused while memoised.  The memo lives as long as the caller keeps it (one
-``tableaux`` command); nothing is cached at module level, so
-``tableau_to_paths`` still builds, weighs and validates every tableau.
+reused while memoised.
+
+Row paths are memoised the same way.  Path i depends on nothing but
+(kind, n, i, row i, vt), and the tableaux of one shape share rows, so
+``tableau_to_paths`` takes each row's ``Path`` from a memo the caller
+passes, under that key, and draws only the rows it lacks; it validates
+every tableau before any lookup.  Each memo lives as long as its caller
+keeps it: one ``tableaux`` command (``paths_line`` shares the text memo)
+or one ``verify.suite_lgv`` case.  Nothing is cached at module level: a
+module cache would outlive a changed ``_edge_weight`` and serve paths
+weighed by the old one, so a call without a memo draws every row afresh.
 """
 
 from __future__ import annotations
@@ -202,7 +210,8 @@ def _edge_weight(kind: str, n: int, e: Entry, level: int, col: int,
     return linear_factor(vt, vt.x_pos(e.k), exp, k, 1)
 
 
-def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
+def tableau_to_paths(t: Tableau, vt: VarTable,
+                     memo: dict | None = None) -> PathTuple:
     """The kind-specific bijective path image of a valid tableau.
 
     Path i starts on the staircase at (level i, or 2i - 1 for sp/so,
@@ -212,44 +221,64 @@ def tableau_to_paths(t: Tableau, vt: VarTable) -> PathTuple:
     letter's bare variable to its level in column 1.  Each further letter
     moves one column right: unprimed letters by an H step on their level,
     primed and zero letters by a D step from the level above theirs.
-    Every path ends with V steps down to the bottom level."""
+    Every path ends with V steps down to the bottom level.
+
+    Path i depends on nothing but (kind, n, i, row i, vt), so each row's
+    ``Path`` is taken from ``memo`` (held by the caller) under that key
+    and drawn only when missing; equal rows at the same index give the
+    same object.  The tableau is validated on every call, before any
+    lookup.  Without a memo a fresh dict is used, and every row is drawn."""
     report = validate_tableau(t)
     if not report:
         raise ValueError(f"invalid tableau: {report.rule} at {report.cell}")
+    if memo is None:
+        memo = {}
     kind, n = t.kind, t.n
-    one = linear_factor(vt, None, 0, 0, 1)
-    bottom = _n_levels(kind, n)
-    q_side = kind in Q_KINDS
-    rows = t.rows if q_side else list(t.rows) + [()] * (n - len(t.rows))
+    rows = t.rows if kind in Q_KINDS else t.rows + ((),) * (n - len(t.rows))
     paths = []
     for i, row in enumerate(rows, start=1):
-        if q_side:
-            head, row = row[0], row[1:]
-            level, col = _level(kind, head, n), 1
-            start = (2 * head.k if kind == "glQ" else 4 * head.k - 1, 0)
-            edges = [Edge(start, (2 * level, col), "C",
-                          _edge_weight(kind, n, head, level, col, vt))]
-        else:
-            level, col = (i if kind == "glChar" else 2 * i - 1), n - i + 1
-            start = (2 * level, col)
-            edges = []
-        for e in row:
-            lv = _level(kind, e, n)
-            diagonal = e.primed or e.zero
-            frm = lv - 1 if diagonal else lv
-            _drop(edges, level, col, frm, one)
-            edges.append(Edge((2 * frm, col), (2 * lv, col + 1),
-                              "D" if diagonal else "H",
-                              _edge_weight(kind, n, e, frm, col + 1, vt)))
-            level, col = lv, col + 1
-        _drop(edges, level, col, bottom, one)
-        paths.append(Path(start, (2 * bottom, col), tuple(edges)))
+        key = (kind, n, i, row, vt)
+        path = memo.get(key)
+        if path is None:
+            path = memo[key] = _row_path(kind, n, i, row, vt)
+        paths.append(path)
     return PathTuple(kind, n, t.shape, tuple(paths))
+
+
+def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
+              vt: VarTable) -> Path:
+    """Path i of a valid tableau whose row i is ``row`` (see
+    ``tableau_to_paths``)."""
+    one = linear_factor(vt, None, 0, 0, 1)
+    if kind in Q_KINDS:
+        head, row = row[0], row[1:]
+        level, col = _level(kind, head, n), 1
+        start = (2 * head.k if kind == "glQ" else 4 * head.k - 1, 0)
+        edges = [Edge(start, (2 * level, col), "C",
+                      _edge_weight(kind, n, head, level, col, vt))]
+    else:
+        level, col = (i if kind == "glChar" else 2 * i - 1), n - i + 1
+        start = (2 * level, col)
+        edges = []
+    for e in row:
+        lv = _level(kind, e, n)
+        diagonal = e.primed or e.zero
+        frm = lv - 1 if diagonal else lv
+        _drop(edges, level, col, frm, one)
+        edges.append(Edge((2 * frm, col), (2 * lv, col + 1),
+                          "D" if diagonal else "H",
+                          _edge_weight(kind, n, e, frm, col + 1, vt)))
+        level, col = lv, col + 1
+    bottom = _n_levels(kind, n)
+    _drop(edges, level, col, bottom, one)
+    return Path(start, (2 * bottom, col), tuple(edges))
 
 
 def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
     """One line of the ``tableaux --paths`` stream: exactly
     ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
-    with edge texts shared through ``memo`` (see ``PathTuple.to_json``)."""
+    with row paths and edge and path texts shared through ``memo`` (see
+    ``tableau_to_paths`` and ``PathTuple.to_json``; their keys are tuples
+    of 5, 4 and 3 items, so they cannot collide)."""
     return (f'{{"tableau":{_dumps(t.to_obj())},'
-            f'"paths":{tableau_to_paths(t, vt).to_json(memo)}}}')
+            f'"paths":{tableau_to_paths(t, vt, memo).to_json(memo)}}}')

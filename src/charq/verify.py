@@ -356,7 +356,13 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     first compares the sorted multiset of non-unit edge weights with that
     of the cell weights; equal multisets have equal products.  Only when
     the multisets differ are both products expanded, and then the
-    products decide, so the verdict is exactly product equality."""
+    products decide, so the verdict is exactly product equality.
+
+    Each case holds one row memo for ``tableau_to_paths``, so a row is
+    walked once per case, and reads each distinct path's edge-weight
+    keys, non-unit weights, signature and D-step count once.  Every
+    tableau is still validated (by ``tableau_to_paths`` and
+    ``tableau_factors``) and checked in full."""
     kinds = _kinds(ALL_KINDS, kind, "tableau")
     cases = []
     if shapes is not None:
@@ -379,41 +385,54 @@ def _lgv_case(kind, parts, n):
     def thunk():
         vt = vartable_for(n, parts[0] if parts else 0)
         unit = ((vt.zero, 1),)
-        # cell and edge factors are shared values (algebra.linear_factor),
-        # so each distinct object is keyed once per case; the memo holds the
-        # object too, so its id cannot be reused while it is memoised
-        memo = {}
+        # tableaux share rows, so one row memo serves the case and a path
+        # recurs as one object; cell and edge factors are shared values too
+        # (algebra.linear_factor).  Each distinct weight and path is read
+        # once, keyed by id; its entry holds the object, so the id cannot be
+        # reused while it is memoised.
+        rows = {}
+        weights = {}
+        paths = {}
 
         def key(w):
-            hit = memo.get(id(w))
+            hit = weights.get(id(w))
             if hit is None:
-                hit = memo[id(w)] = (w, _term_key(w))
+                hit = weights[id(w)] = (w, _term_key(w))
+            return hit[1]
+
+        def path_data(p):
+            """(non-unit weight keys, injectivity signature, D steps)"""
+            hit = paths.get(id(p))
+            if hit is None:
+                ws = [key(e.weight) for e in p.edges]
+                # curved variants can share geometry (x_k vs y_k starts),
+                # so the identity of a path includes its edge weights
+                hit = paths[id(p)] = (p, (
+                    [w for w in ws if w != unit],
+                    tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws)),
+                    sum(1 for e in p.edges if e.kind == "D")))
             return hit[1]
 
         seen = set()
         count = 0
         for t in enumerate_tableaux(kind, parts, n):
             count += 1
-            pt = tableau_to_paths(t, vt)
-            ws = [[key(e.weight) for e in p.edges] for p in pt.paths]
+            pt = tableau_to_paths(t, vt, rows)
+            data = [path_data(p) for p in pt.paths]
             if parts:
                 factors = tableau_factors(t, vt)
-                edge_ms = sorted(w for pw in ws for w in pw if w != unit)
+                edge_ms = sorted(w for ws, _, _ in data for w in ws)
                 cell_ms = sorted(w for w in map(key, factors) if w != unit)
                 if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
                     return False, {"count": count, "reason": "weight mismatch"}
             if not pt.non_intersecting():
                 return False, {"count": count, "reason": "paths intersect"}
-            # curved variants can share geometry (x_k vs y_k starts), so
-            # the identity of a tuple includes its edge weights
-            sig = tuple(tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, pw))
-                        for p, pw in zip(pt.paths, ws))
+            sig = tuple(s for _, s, _ in data)
             if sig in seen:
                 return False, {"count": count, "reason": "not injective"}
             seen.add(sig)
             if kind in CHAR_KINDS:
-                for p, row in zip(pt.paths, t.rows):
-                    diag_steps = sum(1 for e in p.edges if e.kind == "D")
+                for (_, _, diag_steps), row in zip(data, t.rows):
                     zeros = sum(1 for e in row if e.zero)
                     if diag_steps != zeros or diag_steps > 1:
                         return False, {"count": count, "reason": "diagonal steps"}

@@ -6,7 +6,8 @@ import pytest
 
 from charq.algebra import MultiPoly, av, vartable_for, xv, yv
 from charq.lattice import Edge, tableau_to_paths
-from charq.tableaux import (Tableau, entry_from_token, enumerate_tableaux,
+from charq.tableaux import (ALL_KINDS, CHAR_KINDS, Tableau,
+                            entry_from_token, enumerate_tableaux,
                             tableau_weight)
 
 
@@ -169,3 +170,62 @@ def test_invalid_tableau_rejected():
     bad = _tab("glChar", 2, [("2", "1")])
     with pytest.raises(ValueError):
         tableau_to_paths(bad, vt)
+
+
+# the row memo: every family, a shape with two rows at n = 2 and n = 3,
+# and the character shape (1, 1) at n = 3, where one row recurs at two
+# indices on two different paths
+MEMO_GRID = [(kind, shape, n) for kind in ALL_KINDS
+             for shape, n in (((2, 1), 2), ((3, 1), 3))] + \
+    [(kind, (1, 1), 3) for kind in CHAR_KINDS]
+
+
+def test_row_memo_gives_the_image_drawn_without_it():
+    # one memo held across all six families and both ranks: its keys
+    # carry kind and n, so no family's rows are served to another
+    memo = {}
+    for kind, shape, n in MEMO_GRID:
+        vt = vartable_for(n, shape[0])
+        for t in enumerate_tableaux(kind, shape, n):
+            assert tableau_to_paths(t, vt, memo) == tableau_to_paths(t, vt), \
+                (kind, shape, n, t.rows)
+
+
+@pytest.mark.parametrize("kind,shape,n", MEMO_GRID)
+def test_row_memo_shares_equal_rows_at_one_index(kind, shape, n):
+    vt = vartable_for(n, shape[0])
+    memo = {}
+    by_row = {}
+    for t in enumerate_tableaux(kind, shape, n):
+        pt = tableau_to_paths(t, vt, memo)
+        for i, (row, p) in enumerate(zip(t.rows, pt.paths)):
+            assert by_row.setdefault((i, row), p) is p
+    # a row repeated under different rows above it is drawn once
+    assert len(by_row) < sum(1 for _ in enumerate_tableaux(kind, shape, n)) * len(shape)
+
+
+def test_row_memo_reused_with_another_table_gives_its_weights():
+    small, large = vartable_for(2, 2), vartable_for(2, 3)
+    memo = {}
+    tabs = list(enumerate_tableaux("spQ", (2, 1), 2))
+    for t in tabs:
+        tableau_to_paths(t, small, memo)
+    for t in tabs:
+        pt = tableau_to_paths(t, large, memo)
+        assert pt == tableau_to_paths(t, large)
+        assert all(e.weight.vt is large for p in pt.paths for e in p.edges)
+        assert pt.weight() == tableau_weight(t, large)
+
+
+def test_row_memo_still_rejects_an_invalid_tableau():
+    # both rows of the bad tableau sit in the warm memo at their own
+    # index; only the column rule breaks, so validation must run first
+    vt = vartable_for(3, 2)
+    memo = {}
+    for t in enumerate_tableaux("glChar", (2, 1), 3):
+        tableau_to_paths(t, vt, memo)
+    bad = _tab("glChar", 3, [("2", "2"), ("2",)])
+    assert all(("glChar", 3, i, row, vt) in memo
+               for i, row in enumerate(bad.rows, start=1))
+    with pytest.raises(ValueError):
+        tableau_to_paths(bad, vt, memo)

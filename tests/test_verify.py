@@ -1,10 +1,12 @@
 """Suite machinery: reports, ordering, dispatch."""
 
+from dataclasses import replace
+
 import pytest
 
 from charq import lattice, verify
 from charq.algebra import vartable_for, xbar, xv
-from charq.lattice import PathTuple
+from charq.lattice import Edge, Path, PathTuple
 from charq.tableaux import enumerate_tableaux
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
                           suite_routes)
@@ -116,3 +118,59 @@ def test_lgv_compares_factors_by_value_not_identity(monkeypatch, kind):
     rep = suite_lgv(shapes=[(kind, (2, 1), 2), (kind, (3, 1), 3)])
     assert rep.ok and expanded == []
     assert all(c.detail["count"] > 1 for c in rep.cases)
+
+
+def test_lgv_reports_intersecting_paths(monkeypatch):
+    # every path is translated to start where the first one starts; the
+    # edge weights are kept, so the weight check passes and the vertex
+    # check must fail
+    def stacked(pt):
+        r0, c0 = pt.paths[0].start
+
+        def moved(p):
+            dr, dc = r0 - p.start[0], c0 - p.start[1]
+
+            def shift(v):
+                return (v[0] + dr, v[1] + dc)
+
+            return Path(shift(p.start), shift(p.end),
+                        tuple(Edge(shift(e.frm), shift(e.to), e.kind, e.weight)
+                              for e in p.edges))
+
+        return replace(pt, paths=tuple(map(moved, pt.paths)))
+
+    real = verify.tableau_to_paths
+    monkeypatch.setattr(verify, "tableau_to_paths",
+                        lambda t, vt, *memo: stacked(real(t, vt, *memo)))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "paths intersect"}
+
+
+def test_lgv_reports_a_map_that_is_not_injective(monkeypatch):
+    # every tableau is sent to the first one's paths and cell factors, so
+    # weights and disjointness hold and the second tableau repeats the first
+    real_paths, real_factors = verify.tableau_to_paths, verify.tableau_factors
+    first = []
+
+    def pinned(real):
+        def call(t, vt, *rest):
+            if not first:
+                first.append(t)
+            return real(first[0], vt, *rest)
+        return call
+
+    monkeypatch.setattr(verify, "tableau_to_paths", pinned(real_paths))
+    monkeypatch.setattr(verify, "tableau_factors", pinned(real_factors))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 2, "reason": "not injective"}
+
+
+def test_lgv_reports_diagonal_steps_off_the_zero_letters(monkeypatch):
+    # the walker draws every H step as a D step between the same points
+    # with the same weight: weights, disjointness and injectivity hold,
+    # and a row without a zero letter now has diagonal steps
+    monkeypatch.setattr(lattice, "Edge",
+                        lambda frm, to, kind, weight:
+                        Edge(frm, to, "D" if kind == "H" else kind, weight))
+    rep = suite_lgv(shapes=[("soChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "diagonal steps"}
