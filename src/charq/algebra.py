@@ -291,8 +291,8 @@ def _add_products(vt: VarTable, dst: dict, products) -> dict:
     valid keys, and belongs to the caller as ``_merge_rows`` requires; use
     the returned dict.  The operands are left unchanged.  Callers:
     ``MultiPoly.__mul__``, the cofactor and Bareiss determinants,
-    ``specialize`` and the buckets and total of
-    ``tableaux.tableau_weight_sum``.
+    ``specialize``, the parameter sum of ``gf_coeff`` and the buckets and
+    total of ``tableaux.tableau_weight_sum``.
 
     One check on the finished sum suffices.  Each field of a product of
     two valid keys holds a value in [-BIAS, 3*BIAS) (a negative one
@@ -797,6 +797,28 @@ def at_a_zero(p: MultiPoly) -> MultiPoly:
     return MultiPoly(vartable(vt.n, 0), out)
 
 
+def a_shifted_down(p: MultiPoly) -> MultiPoly:
+    """p with a_k -> a_{k-1} for every k (a_0 = 0), as one pass over the
+    packed keys: a term with a_1 is dropped, and every other term moves
+    its a-fields up one slot and leaves a_max at exponent 0.  The map is
+    injective on the terms kept, and the degree and every other field stay
+    as they were, so no terms merge and no key leaves the range."""
+    vt = p.vt
+    if not vt.a_max:
+        return p
+    # the a-block spans the fields of a_max (just above t) up to a_1;
+    # shifting a key up one field moves a_2..a_max into a_1..a_{max-1}
+    a1_shift = vt.shifts[vt.a_pos(1)]
+    rest = ~(((1 << (WIDTH * vt.a_max)) - 1) << WIDTH)
+    moved = ((1 << (WIDTH * (vt.a_max - 1))) - 1) << (2 * WIDTH)
+    a_max_zero = BIAS << WIDTH
+    out = {}
+    for key, c in p.terms.items():
+        if (key >> a1_shift) & _FIELD == BIAS:
+            out[(key & rest) | ((key << WIDTH) & moved) | a_max_zero] = c
+    return _poly(vt, out)
+
+
 def permute_variables(p: MultiPoly, mapping: dict[str, str]) -> MultiPoly:
     """Relabel variables by permuting exponent slots (exact, no expansion).
 
@@ -839,6 +861,10 @@ class TruncatedSeries:
     factor, and the result is checked with ``_check_keys`` before the
     next coefficient reads it, so a key leaving the range raises
     ExponentOverflow before a further shift can carry past a guard bit.
+
+    ``gf_coeff`` runs one pass per geometric or linear factor; the
+    parameter factors (1 + t a_k) run through passes only in the cached
+    ``_elementary``, once per (order, a_limit, table).
     """
 
     __slots__ = ("vt", "order", "terms")
@@ -915,16 +941,34 @@ class TruncatedSeries:
         return self._shift_merge(v, range(1, self.order + 1))
 
 
+@lru_cache(maxsize=None)
+def _elementary(order: int, a_limit: int, vt: VarTable) -> tuple:
+    """The term dicts of e_0..e_order of (a_1..a_{a_limit}): the coefficients
+    of prod_{k=1..a_limit} (1+t a_k) up to t^order, formed by one
+    ``mul_linear`` pass per factor.  ``gf_coeff`` passes order =
+    min(m, a_limit), beyond which every e_j is zero.  The dicts are never
+    mutated; ``cache_clear`` drops them."""
+    s = TruncatedSeries.one(vt, order)
+    for k in range(1, a_limit + 1):
+        s = s.mul_linear(av(vt, k))
+    return tuple(s.terms)
+
+
 def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly:
     """[t^m] of prod_u 1/(1-t u) * prod_v (1+t v) * prod_{k=1..a_limit} (1+t a_k)
-    over the geometric factors u and the linear factors v, multiplied in
-    that order.  Zero for m < 0; a_limit <= 0 gives no parameter factor.
-    This is the one generating function behind the h, q, f and q-tilde
-    families; each family differs only in its factor lists and a_limit.
+    over the geometric factors u and the linear factors v.  Zero for
+    m < 0; a_limit <= 0 gives no parameter factor.  This is the one
+    generating function behind the h, q, f and q-tilde families; each
+    family differs only in its factor lists and a_limit.
 
-    Each factor is one shift-merge pass of a TruncatedSeries of order m
-    over the term dicts it holds, with an overflow check on every updated
-    coefficient; only coefficient m becomes a MultiPoly."""
+    Each geometric and linear factor is one shift-merge pass of a
+    TruncatedSeries G of order m over the term dicts it holds, with an
+    overflow check on every updated coefficient.  The parameter product is
+    closed by one sum, [t^m] G * prod (1+t a_k) = sum_j G_{m-j} e_j, with
+    e_0..e_min(m, a_limit) taken from the cached ``_elementary`` and the
+    products merged by one ``_add_products`` call, which checks the
+    finished sum: a surviving term out of range raises ExponentOverflow,
+    and out-of-range terms that cancel completely give an exact zero."""
     if m < 0:
         return MultiPoly.zero(vt)
     if a_limit > vt.a_max:
@@ -935,9 +979,11 @@ def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly
         s = s.mul_geometric(u)
     for v in linear:
         s = s.mul_linear(v)
-    for k in range(1, a_limit + 1):
-        s = s.mul_linear(av(vt, k))
-    return s.coeff(m)
+    if a_limit <= 0:
+        return s.coeff(m)
+    es = _elementary(min(m, a_limit), a_limit, vt)
+    return _poly(vt, _add_products(vt, {}, ((s.terms[m - j], e, 1)
+                                            for j, e in enumerate(es))))
 
 
 # -- canonical serialisation ---------------------------------------------

@@ -32,10 +32,11 @@ The JSON text of a path tuple and of one ``tableaux --paths`` line is laid
 out here and nowhere else: ``paths_line`` writes the compact
 ``json.dumps`` of ``{"tableau": t.to_obj(), "paths": <tuple>.to_obj()}``
 byte for byte, but takes each edge's and each path's text from a memo the
-caller holds.  Edges repeat heavily across a family (equal endpoints, type
-and shared cached weight), so an edge is encoded once per key ``(frm, to,
-kind, id(weight))``; its entry keeps the weight alive, so the id cannot be
-reused while memoised.
+caller holds.  A path recurs as one object through the row memo below, so
+its text is keyed by its id; edges repeat heavily across a family (equal
+endpoints, type and shared cached weight), so an edge is encoded once per
+key ``(frm, to, kind, id(weight))``.  Each entry keeps its path or weight
+alive, so the id cannot be reused while memoised.
 
 Row paths are memoised the same way.  Path i depends on nothing but
 (kind, n, i, row i, vt), and the tableaux of one shape share rows, so
@@ -118,25 +119,26 @@ class PathTuple:
     def to_json(self, memo: dict) -> str:
         """``_dumps(self.to_obj())``, with each edge's and each path's text
         taken from ``memo`` (filled here, held by the caller) once it was
-        encoded.  An edge is keyed by (frm, to, kind, id(weight)) and its
-        entry holds the weight, so the id stays its own; a path is keyed by
-        its endpoints and the keys of its edges, whose entries come first."""
+        encoded.  A path is keyed by its id and an edge by (frm, to, kind,
+        id(weight)); each entry holds its path or weight, so the id stays
+        its own.  A path the row memo hands out again is found by its id,
+        so its edges are not visited; a path drawn afresh is encoded from
+        its edges' entries."""
         paths = []
         for p in self.paths:
-            keys = tuple((e.frm, e.to, e.kind, id(e.weight)) for e in p.edges)
-            pkey = (p.start, p.end, keys)
-            text = memo.get(pkey)
-            if text is None:
+            hit = memo.get(id(p))
+            if hit is None:
                 edges = []
-                for key, e in zip(keys, p.edges):
-                    hit = memo.get(key)
-                    if hit is None:
-                        hit = memo[key] = (e.weight, _dumps(e.to_obj()))
-                    edges.append(hit[1])
-                text = memo[pkey] = (f'{{"start":{_point_json(p.start)},'
-                                     f'"end":{_point_json(p.end)},'
-                                     f'"edges":[{",".join(edges)}]}}')
-            paths.append(text)
+                for e in p.edges:
+                    key = (e.frm, e.to, e.kind, id(e.weight))
+                    edge = memo.get(key)
+                    if edge is None:
+                        edge = memo[key] = (e.weight, _dumps(e.to_obj()))
+                    edges.append(edge[1])
+                hit = memo[id(p)] = (p, f'{{"start":{_point_json(p.start)},'
+                                        f'"end":{_point_json(p.end)},'
+                                        f'"edges":[{",".join(edges)}]}}')
+            paths.append(hit[1])
         return (f'{{"kind":{_dumps(self.kind)},"shape":{_dumps(list(self.shape))},'
                 f'"n":{self.n},"paths":[{",".join(paths)}]}}')
 
@@ -279,6 +281,6 @@ def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
     ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
     with row paths and edge and path texts shared through ``memo`` (see
     ``tableau_to_paths`` and ``PathTuple.to_json``; their keys are tuples
-    of 5, 4 and 3 items, so they cannot collide)."""
+    of 5 and 4 items and ints, so they cannot collide)."""
     return (f'{{"tableau":{_dumps(t.to_obj())},'
             f'"paths":{tableau_to_paths(t, vt, memo).to_json(memo)}}}')

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, av,
-                      check_a_range, determinant, gf_coeff, specialize, xbar,
-                      xv, ybar, yv)
+from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, VarTableMismatch,
+                      a_shifted_down, check_a_range, determinant, gf_coeff,
+                      xbar, xv, ybar, yv)
 from .characters import TABLEAU_KIND, char_flagged_jt
 from .tableaux import check_shape, tableau_weight_sum
 
@@ -60,18 +60,16 @@ def qtilde(m: int, us, vs, vt: VarTable) -> MultiPoly:
     return gf_coeff(m, us, vs, m + len(us) - len(vs) - 1, vt)
 
 
-@lru_cache(maxsize=None)
-def _q_md_cached(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
-    return f_mpqn(kind, m, d, d, vt)
-
-
 def q_md(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
     """[t^m] of the kind's row generating function at flag d: geometric
     factors in x_d..x_n (and inverses), linear factors in y_{d+1}..y_n
     (and inverses), and parameter factors a_1..a_m.  For soQ the fixed
     eigenvalue contributes an extra (1+t) linear factor that consumes one
     parameter slot, so its parameter product stops at a_{m-1}; this is the
-    form the primed-tableau sums actually satisfy (see test suite)."""
+    form the primed-tableau sums actually satisfy (see test suite).
+
+    After its own argument checks (zero for m < 0, AIndexOutOfRange past
+    a_max) this is f_mpqn at p = q = d, read from that function's cache."""
     _check_kind(kind)
     if not 1 <= d <= vt.n:
         raise ValueError(f"flag d={d} out of range 1..{vt.n}")
@@ -79,16 +77,21 @@ def q_md(kind: str, m: int, d: int, vt: VarTable) -> MultiPoly:
         return MultiPoly.zero(vt)
     if m > vt.a_max:
         raise AIndexOutOfRange(f"needs a_1..a_{m}, table retains a_max={vt.a_max}")
-    return _q_md_cached(kind, m, d, vt)
+    return f_mpqn(kind, m, d, d, vt)
 
 
+@lru_cache(maxsize=None)
 def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
     """Two-flag interpolant between the q family (p = q) and the character
     h family (q = n): geometric factors in x_p..x_n (and inverses), linear
     factors in y_{q+1}..y_n (and inverses), and parameters a_1..a_{m+q-p}.
     For soQ the extra (1+t) factor again consumes one parameter slot, so
-    the product stops at a_{m+q-p-1}, matching q_md at p = q, which is
-    this function's cached value at p = q = d."""
+    the product stops at a_{m+q-p-1}, matching q_md at p = q.
+
+    Values are cached per (kind, m, p, q, table) in a module-level
+    ``lru_cache``, which q_md reads too; a call that raises leaves no
+    entry, and ``f_mpqn.cache_clear()`` empties it.  The value is shared
+    between callers, as every MultiPoly is immutable."""
     _check_kind(kind)
     n = vt.n
     if not 1 <= p <= q <= n:
@@ -103,11 +106,13 @@ def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
 
 
 def shift_a_down(p: MultiPoly, vt: VarTable) -> MultiPoly:
-    """Substitute a_k -> a_{k-1} (with a_0 = 0) throughout."""
-    bindings = {"a1": MultiPoly.zero(vt)}
-    for k in range(2, vt.a_max + 1):
-        bindings[f"a{k}"] = av(vt, k - 1)
-    return specialize(p, bindings)
+    """Substitute a_k -> a_{k-1} (with a_0 = 0) throughout: terms with a_1
+    vanish and the rest are relabelled in one pass over their packed keys
+    (``algebra.a_shifted_down``), with no expansion.  VarTableMismatch if
+    p is not over vt."""
+    if p.vt is not vt:
+        raise VarTableMismatch("polynomial uses a different variable table")
+    return a_shifted_down(p)
 
 
 # -- determinantal route ------------------------------------------------------

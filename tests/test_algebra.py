@@ -623,6 +623,94 @@ def test_series_refuses_another_table():
             step(MultiPoly.zero(other))
 
 
+# gf_coeff against the expansion it replaced: every parameter factor
+# (1 + t a_k) one mul_linear pass.  a_max = 8 lets a_limit pass m = 6.
+GF_VT = vartable(2, 8)
+
+
+def _gf_reference(m, geometric, linear, a_limit, vt):
+    if m < 0:
+        return MultiPoly.zero(vt)
+    s = TruncatedSeries.one(vt, m)
+    for u in geometric:
+        s = s.mul_geometric(u)
+    for v in linear:
+        s = s.mul_linear(v)
+    for k in range(1, a_limit + 1):
+        s = s.mul_linear(av(vt, k))
+    return s.coeff(m)
+
+
+@st.composite
+def gf_factors(draw):
+    """A geometric and a linear factor list over GF_VT, each factor a
+    monomial, a binomial, a Laurent binomial or the constant 1, with int
+    or Fraction coefficients."""
+    vt = GF_VT
+    coeff = draw(st.sampled_from((coeffs.filter(bool), rationals.filter(bool))))
+    xy = st.sampled_from([xv(vt, 1), xv(vt, 2), yv(vt, 1), yv(vt, 2)])
+    inv = st.sampled_from([xbar(vt, 1), xbar(vt, 2), ybar(vt, 1), ybar(vt, 2)])
+    a = st.integers(min_value=1, max_value=vt.a_max).map(lambda k: av(vt, k))
+
+    @st.composite
+    def factor(draw):
+        shape = draw(st.sampled_from(("monomial", "binomial", "laurent", "one")))
+        if shape == "one":
+            return MultiPoly.one(vt)
+        head = draw(coeff) * draw(xy)
+        if shape == "monomial":
+            return head
+        return head + draw(coeff) * draw(inv if shape == "laurent" else a)
+
+    return (draw(st.lists(factor(), max_size=2)),
+            draw(st.lists(factor(), max_size=2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_factors(), st.integers(min_value=0, max_value=6), st.data())
+def test_gf_coeff_matches_one_pass_per_parameter_factor(factors, m, data):
+    geometric, linear = factors
+    # a_limit <= 0, below m, at m and beyond it
+    a_limit = data.draw(st.sampled_from(sorted(
+        {-1, 0, max(m - 1, 0), m, min(m + 2, GF_VT.a_max), GF_VT.a_max})))
+    for order in (m, m - 1, m + 1):
+        assert algebra.gf_coeff(order, geometric, linear, a_limit, GF_VT) == \
+            _gf_reference(order, geometric, linear, a_limit, GF_VT), order
+
+
+def test_gf_coeff_raises_and_caches_nothing_it_should_not():
+    cache = algebra._elementary
+    cache.cache_clear()
+    other = vartable(3, 8)
+    x1 = MultiPoly.var_at(GF_VT, GF_VT.x_pos(1), BIAS - 1)
+    # a factor over another table, and a geometric pass leaving the range:
+    # both raise before the parameter coefficients are formed
+    for geometric, linear in (([xv(other, 1)], []), ([], [MultiPoly.zero(other)]),
+                              ([x1], [])):
+        with pytest.raises((VarTableMismatch, ExponentOverflow)):
+            algebra.gf_coeff(2, geometric, linear, 2, GF_VT)
+        with pytest.raises((VarTableMismatch, ExponentOverflow)):
+            _gf_reference(2, geometric, linear, 2, GF_VT)
+    with pytest.raises(AIndexOutOfRange):
+        algebra.gf_coeff(2, [], [], GF_VT.a_max + 1, GF_VT)
+    assert cache.cache_info().currsize == 0
+    # x1^(BIAS-1) as a linear factor fits; only its product with e_1 in
+    # the closing sum leaves the degree range, as in the per-factor passes
+    with pytest.raises(ExponentOverflow):
+        algebra.gf_coeff(2, [], [x1], 2, GF_VT)
+    with pytest.raises(ExponentOverflow):
+        _gf_reference(2, [], [x1], 2, GF_VT)
+    # what that call did cache is the parameter coefficients, which hold
+    # whatever the other factors are
+    assert cache.cache_info().currsize == 1
+    want = TruncatedSeries.one(GF_VT, 2)
+    for k in (1, 2):
+        want = want.mul_linear(av(GF_VT, k))
+    assert list(cache(2, 2, GF_VT)) == want.terms
+    assert algebra.gf_coeff(1, [], [x1], 2, GF_VT) == \
+        _gf_reference(1, [], [x1], 2, GF_VT)
+
+
 # -- substitution -----------------------------------------------------------------
 
 

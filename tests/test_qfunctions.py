@@ -3,8 +3,11 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charq.algebra import (MultiPoly, add_a, av, specialize, vartable_for,
+from charq.algebra import (AIndexOutOfRange, MultiPoly, VarTableMismatch,
+                           add_a, av, specialize, vartable, vartable_for,
                            xbar, xv, ybar, yv)
 from charq.characters import h_factorial
 from charq.partitions import enumerate_partitions
@@ -163,6 +166,67 @@ def test_f_examples():
         xv(vt, 1) + xv(vt, 2) + av(vt, 1) + av(vt, 2)
     with pytest.raises(ValueError):
         f_mpqn("glQ", 1, 2, 1, vt)
+
+
+def test_q_md_reads_the_f_cache_and_raising_calls_cache_nothing():
+    vt = vartable_for(2, 2)
+    f_mpqn.cache_clear()
+    for bad in (lambda: f_mpqn("glQ", 1, 2, 1, vt),
+                lambda: f_mpqn("zzQ", 1, 1, 1, vt),
+                lambda: q_md("glQ", 1, 3, vt),
+                lambda: q_md("glQ", vt.a_max + 1, 1, vt),
+                lambda: f_mpqn("glQ", vt.a_max + 1, 1, 1, vt)):
+        with pytest.raises((ValueError, AIndexOutOfRange)):
+            bad()
+    assert q_md("glQ", -1, 1, vt).is_zero()
+    assert f_mpqn.cache_info().currsize == 0
+    got = q_md("spQ", 2, 1, vt)
+    assert f_mpqn("spQ", 2, 1, 1, vt) is got
+    assert f_mpqn.cache_info().hits == 1
+
+
+def _shift_by_specialize(p, vt):
+    """The substitution a_k -> a_{k-1}, a_1 -> 0 as a full ``specialize``
+    (a table without parameters has nothing to substitute)."""
+    bindings = {f"a{k}": av(vt, k - 1) for k in range(2, vt.a_max + 1)}
+    if vt.a_max:
+        bindings["a1"] = MultiPoly.zero(vt)
+    return specialize(p, bindings)
+
+
+@st.composite
+def polys_with_a_ends(draw):
+    """A polynomial over a table with a_max 0, 1 or >= 4, whose terms carry
+    Laurent x/y exponents, a t power and, often, a_1 or a_max."""
+    vt = vartable(2, draw(st.sampled_from((0, 1, 4, 6))))
+    coeff = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        mono = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(4)]
+        mono += [draw(st.integers(min_value=0, max_value=2)) if draw(st.booleans())
+                 else 0 for _ in range(vt.a_max)]
+        if vt.a_max and draw(st.booleans()):
+            mono[4 + draw(st.sampled_from((0, vt.a_max - 1)))] += 1
+        mono.append(draw(st.integers(min_value=0, max_value=2)))
+        c = draw(coeff)
+        if c:
+            terms[tuple(mono)] = c
+    return MultiPoly(vt, terms), vt
+
+
+@settings(max_examples=120, deadline=None)
+@given(polys_with_a_ends())
+def test_shift_a_down_matches_the_specialize_form(case):
+    p, vt = case
+    assert shift_a_down(p, vt) == _shift_by_specialize(p, vt)
+
+
+def test_shift_a_down_refuses_another_table():
+    vt, other = vartable(2, 4), vartable(2, 5)
+    with pytest.raises(VarTableMismatch):
+        shift_a_down(av(vt, 2), other)
+    assert shift_a_down(av(vt, 2) * av(vt, 4) + av(vt, 1), vt) == av(vt, 1) * av(vt, 3)
 
 
 @pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])

@@ -1,11 +1,16 @@
 """Suite machinery: reports, ordering, dispatch."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from types import ModuleType
 
 import pytest
 
-from charq import lattice, verify
-from charq.algebra import vartable_for, xbar, xv
+import charq
+from charq import cli, lattice, verify
+from charq.algebra import TruncatedSeries, vartable_for, xbar, xv
 from charq.lattice import Edge, Path, PathTuple
 from charq.tableaux import enumerate_tableaux
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
@@ -174,3 +179,57 @@ def test_lgv_reports_diagonal_steps_off_the_zero_letters(monkeypatch):
                         Edge(frm, to, "D" if kind == "H" else kind, weight))
     rep = suite_lgv(shapes=[("soChar", (2, 1), 2)])
     assert rep.cases[0].detail == {"count": 1, "reason": "diagonal steps"}
+
+
+# -- caches the benchmark can clear ---------------------------------------------
+
+F_DIFF = ("verify", "--suite", "f-diff", "--n-max", "2", "--m-max", "3")
+
+# Counts the series passes (mul_linear and mul_geometric calls) of one CLI
+# command in a process that has just imported charq; argv follows "-c".
+_COUNT_PASSES = """
+import contextlib, io, sys
+from charq import algebra, cli
+count = [0]
+for name in ("mul_linear", "mul_geometric"):
+    def counted(self, v, real=getattr(algebra.TruncatedSeries, name)):
+        count[0] += 1
+        return real(self, v)
+    setattr(algebra.TruncatedSeries, name, counted)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, count[0])
+"""
+
+
+def _clear_lru_caches(package):
+    """Clear every ``lru_cache`` in the package's modules, found as the
+    benchmark worker finds them: each callable with ``cache_info`` among a
+    ``charq.*`` module's globals."""
+    for mod in vars(package).values():
+        if isinstance(mod, ModuleType) and mod.__name__.startswith("charq."):
+            for v in vars(mod).values():
+                if callable(getattr(v, "cache_info", None)):
+                    v.cache_clear()
+
+
+def test_cleared_lru_caches_leave_the_series_checks_cold(monkeypatch, capsys):
+    # A cache that clearing the lru_caches misses (a plain dict, say) would
+    # let a second run skip passes that a fresh process runs.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charq.__file__)))
+    fresh = subprocess.run([sys.executable, "-c", _COUNT_PASSES, *F_DIFF],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True, timeout=120)
+    code, want = map(int, fresh.stdout.split())
+    assert code == 0 and want > 0
+    assert cli.main(list(F_DIFF)) == 0
+    _clear_lru_caches(charq)
+    count = [0]
+    for name in ("mul_linear", "mul_geometric"):
+        def counted(self, v, real=getattr(TruncatedSeries, name)):
+            count[0] += 1
+            return real(self, v)
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    assert cli.main(list(F_DIFF)) == 0
+    capsys.readouterr()
+    assert count[0] == want
