@@ -325,19 +325,35 @@ def _row_ranks(kind, alpha, i, width, floors=(), group=None):
     row above reaches (see _floors); in the Q kinds the diagonal cell
     holds no zero letter and no letter of ``group``."""
     A = len(alpha)
-    qkind = kind in Q_KINDS
     lo = max(_row_min_rank(kind, i), floors[0] if floors else 0)
-    rows = [(r,) for r in range(lo, A)
-            if not (qkind and (alpha[r].zero or alpha[r].k == group))]
+    rows = [(r,) for r in _first_ranks(kind, alpha, lo, group)]
     for c in range(1, width):
         floor = floors[c] if c < len(floors) else 0
         nxt = []
         for row in rows:
-            last = row[-1]
-            lo = last if _row_repeat_ok(kind, alpha[last]) else last + 1
-            nxt += [row + (r,) for r in range(max(lo, floor), A)]
+            lo = max(_next_lo(kind, alpha, row[-1]), floor)
+            nxt += [row + (r,) for r in range(lo, A)]
         rows = nxt
     return rows
+
+
+def _first_ranks(kind, alpha, lo=0, group=None):
+    """Ranks from lo up that may start a row: in the Q kinds the diagonal
+    cell holds no zero letter and no letter of ``group``."""
+    if kind not in Q_KINDS:
+        return range(lo, len(alpha))
+    return [r for r in range(lo, len(alpha))
+            if not (alpha[r].zero or alpha[r].k == group)]
+
+
+def _next_lo(kind, alpha, last):
+    """Lowest rank of the cell right of one of rank ``last``."""
+    return last if _row_repeat_ok(kind, alpha[last]) else last + 1
+
+
+def _floor_of(kind, alpha, r):
+    """Lowest rank of the cell right below one of rank r."""
+    return r if _col_stack_ok(kind, alpha[r]) else r + 1
 
 
 def _floors(kind, alpha, above, width):
@@ -345,7 +361,7 @@ def _floors(kind, alpha, above, width):
     under the row of ranks ``above``, for the cells that have a cell
     above them (shifted rows align one step over)."""
     src = above[1:1 + width] if kind in Q_KINDS else above[:width]
-    return tuple(r if _col_stack_ok(kind, alpha[r]) else r + 1 for r in src)
+    return tuple(_floor_of(kind, alpha, r) for r in src)
 
 
 def count_tableaux(kind: str, shape, n: int) -> int:
@@ -408,9 +424,9 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # the rules coupling row i+1 to row i only read, per cell, the entry
 # directly above, and the admissibility threshold each top entry imposes
 # on the cell below it depends on the top entry alone.  So we sweep rows
-# top to bottom.  Each candidate row content r of row i (from _row_ranks,
-# without floors) has weight w(r); its product with the sum of weights of
-# all fillings of rows 1..i-1 that admit r (1 on row 1) goes straight
+# top to bottom.  Each candidate row content r of row i >= 2 (from
+# _row_ranks, without floors) has weight w(r); its product with the sum
+# of weights of all fillings of rows 1..i-1 that admit r goes straight
 # into the bucket of the threshold vector r imposes on row i+1 (_floors),
 # or into the total on the last row.  The buckets are prefix-summed and
 # row i+1 reads each of its candidates' sums off with one lookup.
@@ -423,6 +439,21 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # reads as zero.  test_tableaux pins this against the naive per-tableau
 # sum.
 #
+# Row 1 has nothing above it, so each of its buckets is a plain sum of
+# products of cell weights along the row, and that sum factors cell by
+# cell (a transfer-matrix sum, Stanley, EC1 4.7).  _first_row_sums keeps
+# one term dict per state (key so far, rank of the last cell).  Cell c
+# extends each state by every letter the row rules admit after its last
+# one, times that letter's weight in cell (1, 1+c); on the cells with a
+# cell of row 2 below them (1..below shifted, 0..below-1 otherwise) the
+# key gains the letter's _floors value, and in spQ/soQ the diagonal cell
+# starts it with the group bound.  States that agree merge, so every row
+# prefix reaching a state shares its dict and no weight is formed per
+# candidate row; the last cell drops the rank, which leaves the bucket
+# table ({(): total} for a one-row shape).  Lower rows do not factor
+# this way: a candidate reads its sum from above at its whole content,
+# so it must be complete before it is weighted.
+#
 # Every sum is a term dict; no polynomial is built per product.  Products
 # accumulate through algebra._add_products, which checks each finished
 # bucket once, so each level's keys are checked once before the next
@@ -433,10 +464,11 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 
 
 def _row_candidates(kind, alpha, n, i, width, vt):
-    """All admissible contents for row i in isolation, as (ranks, weight)
-    pairs; within-row rules applied, cross-row rules left to the caller.
-    Rows sharing a prefix share its weight, so every distinct prefix
-    costs one multiplication."""
+    """All admissible contents for row i >= 2 in isolation, as (ranks,
+    weight) pairs; within-row rules applied, cross-row rules left to the
+    caller.  Rows sharing a prefix share its weight, so every distinct
+    prefix costs one multiplication.  Row 1 never comes here: its sums
+    are taken cell by cell (_first_row_sums)."""
     start = i if kind in Q_KINDS else 1
     weights = {(): MultiPoly.one(vt)}
 
@@ -451,40 +483,50 @@ def _row_candidates(kind, alpha, n, i, width, vt):
     return [(ranks, weight(ranks)) for ranks in _row_ranks(kind, alpha, i, width)]
 
 
+def _first_row_sums(kind, alpha, n, width, below, vt):
+    """Row 1's weights summed by the bucket each row content goes into:
+    {threshold vector on row 2 (headed by the diagonal group bound in
+    spQ/soQ): term dict}, or {(): total} when ``below`` is None (a
+    one-row shape).  Taken cell by cell over the states (key so far, rank
+    of the last cell); the last cell drops the rank."""
+    A = len(alpha)
+    qkind = kind in Q_KINDS
+    grouped = kind in ("spQ", "soQ") and below is not None
+    floor = [_floor_of(kind, alpha, r) for r in range(A)]
+    first = _first_ranks(kind, alpha)
+    # the cells with a cell of row 2 below them: 1..below in a shifted row
+    keyed = range(qkind, qkind + below) if below is not None else ()
+    states = {((), None): MultiPoly.one(vt).terms}
+    for c in range(width):
+        w = [cell_weight(vt, kind, n, e, 1, 1 + c).terms for e in alpha]
+        out: dict[tuple, list] = {}
+        for (key, last), acc in states.items():
+            ranks = first if last is None else range(_next_lo(kind, alpha, last), A)
+            for r in ranks:
+                k = (alpha[r].k + 1,) if grouped and last is None else key
+                if c in keyed:
+                    k += (floor[r],)
+                out.setdefault((k, r) if c + 1 < width else k, []).append(
+                    (w[r], acc, 1))
+        states = {s: _add_products(vt, {}, prods) for s, prods in out.items()}
+    return states
+
+
 def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
-    """Sum of tableau_weight over every tableau of the given kind/shape."""
+    """Sum of tableau_weight over every tableau of the given kind/shape:
+    row 1 summed cell by cell, then one bucket sweep per lower row (see
+    the comment above)."""
     parts = check_shape(kind, shape, n)
     if len(parts) == 0:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
     spso_q = kind in ("spQ", "soQ")
-    one = MultiPoly.one(vt).terms
-    table: dict[tuple, dict] = {}
-    for i, width in enumerate(parts, start=1):
-        below = parts[i] if i < len(parts) else None
-        # the products w * acc of row i, by the bucket they go into: the
-        # threshold vector on row i+1 (plus the diagonal group bound for
-        # the sp/so Q kinds), or () for the total on the last row
-        buckets: dict[tuple, list] = {}
-        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
-            if i == 1:
-                acc = one
-            else:
-                acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
-                if not acc:
-                    continue
-            th = ()
-            if below is not None:
-                th = _floors(kind, alpha, ranks, below)
-                if spso_q:
-                    th = (alpha[ranks[0]].k + 1,) + th
-            buckets.setdefault(th, []).append((w.terms, acc, 1))
-        if below is None:
-            return _poly(vt, _add_products(vt, {}, buckets[()]))
-        table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
-
+    below = parts[1] if len(parts) > 1 else None
+    table = _first_row_sums(kind, alpha, n, parts[0], below, vt)
+    for i in range(2, len(parts) + 1):
+        width = parts[i - 1]
         # prefix sums; lexicographic order updates key - e_d before key
-        keys = list(combinations_with_replacement(range(len(alpha)), below))
+        keys = list(combinations_with_replacement(range(len(alpha)), width))
         if spso_q:
             keys = [(g,) + key for g in range(n + 1) for key in keys]
         for d in reversed(range(len(keys[0]))):
@@ -493,3 +535,21 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
                     src = table.get(key[:d] + (key[d] - 1,) + key[d + 1:])
                     if src:
                         table[key] = _sum(table.get(key, {}), src)
+
+        below = parts[i] if i < len(parts) else None
+        # the products w * acc of row i, by the bucket they go into: the
+        # threshold vector on row i+1 (plus the diagonal group bound for
+        # the sp/so Q kinds), or () for the total on the last row
+        buckets: dict[tuple, list] = {}
+        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
+            acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
+            if not acc:
+                continue
+            th = ()
+            if below is not None:
+                th = _floors(kind, alpha, ranks, below)
+                if spso_q:
+                    th = (alpha[ranks[0]].k + 1,) + th
+            buckets.setdefault(th, []).append((w.terms, acc, 1))
+        table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
+    return _poly(vt, table[()])

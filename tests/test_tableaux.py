@@ -366,7 +366,15 @@ def test_tableau_weight_rejects_invalid():
     # lower rows of width 3: prefix sums over three rank coordinates (four
     # with the diagonal group)
     ("spChar", (3, 3), 3), ("soChar", (3, 3), 3), ("glQ", (4, 3), 3),
-    ("spQ", (4, 3), 2), ("soQ", (4, 3), 2)])
+    ("spQ", (4, 3), 2), ("soQ", (4, 3), 2)] + [
+    # one-row shapes: row 1's cell-by-cell sum is the whole total
+    (kind, (width,), n) for kind in ALL_KINDS for n, width in ((2, 3), (3, 4))] + [
+    # 0' is the last soQ letter and may not repeat, so only a one-cell
+    # first row could put it on the diagonal
+    ("soQ", (1,), 2),
+    # first rows with two or more cells past the ones keyed for row 2
+    ("glChar", (4, 1), 3), ("spChar", (4, 1), 2), ("soChar", (3, 1), 3),
+    ("glQ", (4, 1), 3), ("spQ", (4, 1), 2), ("soQ", (4, 1), 2)])
 def test_weight_sum_matches_per_tableau_sum(kind, shape, n):
     vt = vartable_for(n, shape[0] if shape else 0)
     naive = MultiPoly.zero(vt)

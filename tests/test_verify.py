@@ -10,7 +10,7 @@ import pytest
 
 import charq
 from charq import cli, lattice, verify
-from charq.algebra import TruncatedSeries, vartable_for, xbar, xv
+from charq.algebra import MultiPoly, TruncatedSeries, vartable_for, xbar, xv
 from charq.lattice import Edge, Path, PathTuple
 from charq.tableaux import enumerate_tableaux
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
@@ -147,6 +147,23 @@ def test_lgv_reports_intersecting_paths(monkeypatch):
     real = verify.tableau_to_paths
     monkeypatch.setattr(verify, "tableau_to_paths",
                         lambda t, vt, *memo: stacked(real(t, vt, *memo)))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "paths intersect"}
+
+
+def test_lgv_reports_a_path_that_meets_itself(monkeypatch):
+    # the first path gains a unit V step from its end back to its end, so
+    # it visits that vertex twice while its vertex set stays the same;
+    # weights, injectivity and diagonal steps still hold
+    def looped(pt, vt):
+        p = pt.paths[0]
+        stay = Edge(p.end, p.end, "V", MultiPoly.one(vt))
+        return replace(pt, paths=(Path(p.start, p.end, p.edges + (stay,)),)
+                       + pt.paths[1:])
+
+    real = verify.tableau_to_paths
+    monkeypatch.setattr(verify, "tableau_to_paths",
+                        lambda t, vt, *memo: looped(real(t, vt, *memo), vt))
     rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
     assert rep.cases[0].detail == {"count": 1, "reason": "paths intersect"}
 
