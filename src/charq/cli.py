@@ -25,7 +25,7 @@ import sys
 
 from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_json,
                       poly_to_obj, poly_to_text, vartable_for)
-from .characters import CHAR_ROUTES, GROUP_KINDS, character
+from .characters import CHAR_ROUTES, TABLEAU_KIND, character
 from .lattice import paths_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
 from .tableaux import (ALL_KINDS, check_shape, count_tableaux,
@@ -57,9 +57,11 @@ def _emit_poly(p: MultiPoly, out: str) -> str:
     return poly_to_text(p)
 
 
-def _run_poly_command(args, kinds, routes, compute) -> int:
-    if args.kind not in kinds:
-        raise SpecError(f"--kind must be one of {', '.join(kinds)}")
+def _run_poly_command(args, families, routes, compute) -> int:
+    """Run ``compute`` by each --method route; ``families`` maps each
+    --kind to the tableau family its shape is checked against."""
+    if args.kind not in families:
+        raise SpecError(f"--kind must be one of {', '.join(families)}")
     methods = args.method.split(",")
     if "" in methods:
         raise SpecError(f"bad --method {args.method!r}: empty route name")
@@ -69,6 +71,8 @@ def _run_poly_command(args, kinds, routes, compute) -> int:
         if m not in routes:
             raise SpecError(f"--method must be chosen from {', '.join(routes)}")
     parts = _parse_parts(args.lam)
+    # before vartable_for, which would call a negative part a bad a_max
+    check_shape(families[args.kind], parts, args.n)
     vt = vartable_for(args.n, parts[0] if parts else 0)
     values = {}
     for m in methods:
@@ -94,11 +98,12 @@ def _run_poly_command(args, kinds, routes, compute) -> int:
 
 
 def cmd_char(args) -> int:
-    return _run_poly_command(args, GROUP_KINDS, CHAR_ROUTES, character)
+    return _run_poly_command(args, TABLEAU_KIND, CHAR_ROUTES, character)
 
 
 def cmd_qfun(args) -> int:
-    return _run_poly_command(args, QFUNC_KINDS, Q_ROUTES, qfunction)
+    return _run_poly_command(args, {k: k for k in QFUNC_KINDS}, Q_ROUTES,
+                             qfunction)
 
 
 def cmd_tableaux(args) -> int:

@@ -300,15 +300,13 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
         yield Tableau(kind, n, parts, ())
         return
     alpha = alphabet(kind, n)
-    spso_q = kind in ("spQ", "soQ")
     rows: list[tuple[Entry, ...]] = [()] * ell
 
     def stack(i: int, above: tuple[int, ...]) -> Iterator[Tableau]:
         # every admissible row i under the row of ranks ``above``
         width = parts[i - 1]
-        group = alpha[above[0]].k if spso_q and above else None
         for ranks in _row_ranks(kind, alpha, i, width,
-                                _floors(kind, alpha, above, width), group):
+                                _floors(kind, alpha, above, width)):
             rows[i - 1] = tuple(alpha[r] for r in ranks)
             if i == ell:
                 yield Tableau(kind, n, parts, tuple(rows))
@@ -318,15 +316,16 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     yield from stack(1, ())
 
 
-def _row_ranks(kind, alpha, i, width, floors=(), group=None):
+def _row_ranks(kind, alpha, i, width, floors=()):
     """Rank tuples of every admissible row i of the given width, in
     lexicographic order.  Ranks start at the row's minimum and obey the
     row-repeat rule; cell c also stays at or above ``floors[c]`` where the
-    row above reaches (see _floors); in the Q kinds the diagonal cell
-    holds no zero letter and no letter of ``group``."""
+    row above reaches (see _floors, which also carries the spQ/soQ
+    diagonal-group rule); in the Q kinds the diagonal cell holds no zero
+    letter."""
     A = len(alpha)
     lo = max(_row_min_rank(kind, i), floors[0] if floors else 0)
-    rows = [(r,) for r in _first_ranks(kind, alpha, lo, group)]
+    rows = [(r,) for r in _first_ranks(kind, alpha, lo)]
     for c in range(1, width):
         floor = floors[c] if c < len(floors) else 0
         nxt = []
@@ -337,13 +336,12 @@ def _row_ranks(kind, alpha, i, width, floors=(), group=None):
     return rows
 
 
-def _first_ranks(kind, alpha, lo=0, group=None):
+def _first_ranks(kind, alpha, lo=0):
     """Ranks from lo up that may start a row: in the Q kinds the diagonal
-    cell holds no zero letter and no letter of ``group``."""
+    cell holds no zero letter (Q6)."""
     if kind not in Q_KINDS:
         return range(lo, len(alpha))
-    return [r for r in range(lo, len(alpha))
-            if not (alpha[r].zero or alpha[r].k == group)]
+    return [r for r in range(lo, len(alpha)) if not alpha[r].zero]
 
 
 def _next_lo(kind, alpha, last):
@@ -359,9 +357,15 @@ def _floor_of(kind, alpha, r):
 def _floors(kind, alpha, above, width):
     """Lowest admissible rank of each cell of a row of the given width
     under the row of ranks ``above``, for the cells that have a cell
-    above them (shifted rows align one step over)."""
+    above them (shifted rows align one step over).  In spQ/soQ no two
+    diagonal letters share a group (Q5); the diagonal letter below
+    already reaches the group k of the one above through the cell above
+    it, so Q5 is one more floor, 4k (the first rank of group k+1; 0'
+    never sits on the diagonal), binding the whole weakly increasing
+    row.  Under group n that floor (len(alpha) in spQ) leaves no row."""
     src = above[1:1 + width] if kind in Q_KINDS else above[:width]
-    return tuple(_floor_of(kind, alpha, r) for r in src)
+    lift = 4 * alpha[above[0]].k if kind in ("spQ", "soQ") and above else 0
+    return tuple(max(_floor_of(kind, alpha, r), lift) for r in src)
 
 
 def count_tableaux(kind: str, shape, n: int) -> int:
@@ -421,23 +425,23 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 #
 # Summing tableau_weight over enumerate_tableaux is correct but revisits
 # shared row prefixes once per tableau.  The sum factorises row by row:
-# the rules coupling row i+1 to row i only read, per cell, the entry
-# directly above, and the admissibility threshold each top entry imposes
-# on the cell below it depends on the top entry alone.  So we sweep rows
-# top to bottom.  Each candidate row content r of row i >= 2 (from
+# the rules coupling row i+1 to row i come down to one lower bound per
+# cell of row i+1, a function of row i alone (_floors: the entry directly
+# above, and in spQ/soQ the diagonal-group bound of Q5).  So we sweep
+# rows top to bottom.  Each candidate row content r of row i >= 2 (from
 # _row_ranks, without floors) has weight w(r); its product with the sum
 # of weights of all fillings of rows 1..i-1 that admit r goes straight
 # into the bucket of the threshold vector r imposes on row i+1 (_floors),
 # or into the total on the last row.  The buckets are prefix-summed and
 # row i+1 reads each of its candidates' sums off with one lookup.
 # Thresholds and candidates both weakly increase, so the prefix sums run
-# over weakly increasing keys up to the largest candidate (headed by the
-# diagonal group in the sp/so Q kinds), last coordinate first.  That is
-# exact: once coordinates d+1.. are summed and those before d fixed, a
-# key whose coordinate d drops below coordinate d-1 could only hold a
-# threshold vector that does not weakly increase, so it is absent and
-# reads as zero.  test_tableaux pins this against the naive per-tableau
-# sum.
+# over weakly increasing keys up to the largest candidate, last
+# coordinate first.  That is exact: once coordinates d+1.. are summed and
+# those before d fixed, a key whose coordinate d drops below coordinate
+# d-1 could only hold a threshold vector that does not weakly increase,
+# so it is absent and reads as zero.  A threshold may reach len(alpha)
+# (spQ under a diagonal letter of group n); that bucket is seeded and
+# never read.  test_tableaux pins this against the naive per-tableau sum.
 #
 # Row 1 has nothing above it, so each of its buckets is a plain sum of
 # products of cell weights along the row, and that sum factors cell by
@@ -446,8 +450,9 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # extends each state by every letter the row rules admit after its last
 # one, times that letter's weight in cell (1, 1+c); on the cells with a
 # cell of row 2 below them (1..below shifted, 0..below-1 otherwise) the
-# key gains the letter's _floors value, and in spQ/soQ the diagonal cell
-# starts it with the group bound.  States that agree merge, so every row
+# key gains the letter's floor, raised to the key's last coordinate, or
+# for the first one to the Q5 bound of the diagonal letter, so the key
+# is the row's _floors vector.  States that agree merge, so every row
 # prefix reaching a state shares its dict and no weight is formed per
 # candidate row; the last cell drops the rank, which leaves the bucket
 # table ({(): total} for a one-row shape).  Lower rows do not factor
@@ -485,27 +490,28 @@ def _row_candidates(kind, alpha, n, i, width, vt):
 
 def _first_row_sums(kind, alpha, n, width, below, vt):
     """Row 1's weights summed by the bucket each row content goes into:
-    {threshold vector on row 2 (headed by the diagonal group bound in
-    spQ/soQ): term dict}, or {(): total} when ``below`` is None (a
-    one-row shape).  Taken cell by cell over the states (key so far, rank
-    of the last cell); the last cell drops the rank."""
+    {threshold vector on a row 2 of width ``below`` (_floors): term dict},
+    which is {(): total} when ``below`` is 0 (a one-row shape).  Taken
+    cell by cell over the states (key so far, rank of the last cell); the
+    last cell drops the rank.  A key may reach len(alpha) (see _floors)."""
     A = len(alpha)
     qkind = kind in Q_KINDS
-    grouped = kind in ("spQ", "soQ") and below is not None
     floor = [_floor_of(kind, alpha, r) for r in range(A)]
+    # Q5 (see _floors): the least floor on row 2 under each diagonal letter
+    lift = {r: 4 * e.k for r, e in enumerate(alpha)} if kind in ("spQ", "soQ") else {}
     first = _first_ranks(kind, alpha)
     # the cells with a cell of row 2 below them: 1..below in a shifted row
-    keyed = range(qkind, qkind + below) if below is not None else ()
+    keyed = range(qkind, qkind + below)
     states = {((), None): MultiPoly.one(vt).terms}
     for c in range(width):
         w = [cell_weight(vt, kind, n, e, 1, 1 + c).terms for e in alpha]
         out: dict[tuple, list] = {}
         for (key, last), acc in states.items():
             ranks = first if last is None else range(_next_lo(kind, alpha, last), A)
+            # keys weakly increase; the first coordinate carries the lift
+            lo = key[-1] if key else lift.get(last, 0)
             for r in ranks:
-                k = (alpha[r].k + 1,) if grouped and last is None else key
-                if c in keyed:
-                    k += (floor[r],)
+                k = key + (max(floor[r], lo),) if c in keyed else key
                 out.setdefault((k, r) if c + 1 < width else k, []).append(
                     (w[r], acc, 1))
         states = {s: _add_products(vt, {}, prods) for s, prods in out.items()}
@@ -520,36 +526,26 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
     if len(parts) == 0:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
-    spso_q = kind in ("spQ", "soQ")
-    below = parts[1] if len(parts) > 1 else None
-    table = _first_row_sums(kind, alpha, n, parts[0], below, vt)
+    widths = parts + (0,)
+    table = _first_row_sums(kind, alpha, n, parts[0], widths[1], vt)
     for i in range(2, len(parts) + 1):
         width = parts[i - 1]
         # prefix sums; lexicographic order updates key - e_d before key
         keys = list(combinations_with_replacement(range(len(alpha)), width))
-        if spso_q:
-            keys = [(g,) + key for g in range(n + 1) for key in keys]
-        for d in reversed(range(len(keys[0]))):
+        for d in reversed(range(width)):
             for key in keys:
                 if key[d]:
                     src = table.get(key[:d] + (key[d] - 1,) + key[d + 1:])
                     if src:
                         table[key] = _sum(table.get(key, {}), src)
 
-        below = parts[i] if i < len(parts) else None
         # the products w * acc of row i, by the bucket they go into: the
-        # threshold vector on row i+1 (plus the diagonal group bound for
-        # the sp/so Q kinds), or () for the total on the last row
+        # threshold vector on row i+1, which is () on the last row (the total)
         buckets: dict[tuple, list] = {}
         for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
-            acc = table.get((alpha[ranks[0]].k,) + ranks if spso_q else ranks)
-            if not acc:
-                continue
-            th = ()
-            if below is not None:
-                th = _floors(kind, alpha, ranks, below)
-                if spso_q:
-                    th = (alpha[ranks[0]].k + 1,) + th
-            buckets.setdefault(th, []).append((w.terms, acc, 1))
+            acc = table.get(ranks)
+            if acc:
+                th = _floors(kind, alpha, ranks, widths[i])
+                buckets.setdefault(th, []).append((w.terms, acc, 1))
         table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
     return _poly(vt, table[()])

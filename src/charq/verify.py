@@ -24,8 +24,8 @@ from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
                          q_determinantal, q_md, q_tableaux, qtilde,
                          shift_a_down, verify_tokuyama)
-from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, enumerate_tableaux,
-                       tableau_factors)
+from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, check_shape,
+                       enumerate_tableaux, tableau_factors)
 
 
 @dataclass
@@ -383,6 +383,8 @@ def _lgv_case(kind, parts, n):
     inputs = {"identity": "lgv", "kind": kind, "lambda": list(parts), "n": n}
 
     def thunk():
+        # before vartable_for, which would call a negative part a bad a_max
+        check_shape(kind, parts, n)
         vt = vartable_for(n, parts[0] if parts else 0)
         unit = ((vt.zero, 1),)
         # tableaux share rows, so one row memo serves the case and a path

@@ -295,6 +295,15 @@ def test_usage_errors_exit_2(capsys):
                    "--lambda", "2,1", *flags)[:2] == (2, "")
 
 
+def test_negative_part_is_reported_as_a_shape_error(capsys):
+    # the shape is checked before a variable table is sized from it
+    for argv in (("char", "--kind", "gl", "--n", "1", "--lambda", "-5"),
+                 ("qfun", "--kind", "glQ", "--n", "1", "--lambda", "-5"),
+                 ("verify", "--suite", "lgv", "--kind", "glChar", "--n", "1",
+                  "--lambda", "-5")):
+        assert run(capsys, *argv) == (2, "", "error: (-5,) is not a partition\n")
+
+
 @pytest.mark.parametrize("argv", [
     # an explicit shape the suite would ignore, or an incomplete one
     ("--suite", "routes", "--kind", "gl", "--n", "2", "--lambda", "2,1"),

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charq.algebra import (AIndexOutOfRange, MultiPoly, VarTableMismatch,
-                           add_a, av, specialize, vartable, vartable_for,
-                           xbar, xv, ybar, yv)
+                           add_a, at_a_zero, av, specialize, vartable,
+                           vartable_for, xbar, xv, ybar, yv)
 from charq.characters import h_factorial
 from charq.partitions import enumerate_partitions
 from charq.qfunctions import (f_mpqn, prefactor, q_determinantal, q_md,
                               q_tableaux, qfunction, qtilde, shift_a_down,
                               staircase, verify_tokuyama)
+from charq.tableaux import count_tableaux
 
 from oracles import classical_q_brute
 
@@ -289,6 +290,22 @@ def test_routes_agree(kind, n):
         vt = vartable_for(n, lam.first)
         assert q_tableaux(kind, lam, vt) == q_determinantal(kind, lam, vt), \
             (kind, n, lam.parts)
+
+
+@pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
+def test_tableau_count_is_the_det_route_at_unit_weights(kind):
+    # at a = 0 and x = y = 1 every cell weight is 1, so the det route's value
+    # there, the sum of its a-free coefficients, counts the tableaux
+    cases = 0
+    for n in (1, 2, 3):
+        for lam in enumerate_partitions(5, n, strict=True):
+            if not lam.parts or lam.size > 5:
+                continue
+            vt = vartable_for(n, lam.first)
+            value = sum(at_a_zero(q_determinantal(kind, lam, vt)).terms.values())
+            assert count_tableaux(kind, lam, n) == value, (kind, n, lam.parts)
+            cases += 1
+    assert cases == 23
 
 
 def test_glq_221_route_example():

@@ -102,8 +102,11 @@ SMALL_GRID = [
     ("soQ", (2,), 1), ("soQ", (2, 1), 2),
 ]
 
+# lower rows of two cells under the diagonal-group floor
+FLOOR_GRID = [("spQ", (3, 2), 2), ("soQ", (3, 2), 2)]
 
-@pytest.mark.parametrize("kind,shape,n", SMALL_GRID)
+
+@pytest.mark.parametrize("kind,shape,n", SMALL_GRID + FLOOR_GRID)
 def test_enumeration_matches_brute_force(kind, shape, n):
     want = brute_force_tableaux(kind, shape, n)
     got = [tuple(tuple(e.token for e in row) for row in t.rows)
@@ -113,14 +116,14 @@ def test_enumeration_matches_brute_force(kind, shape, n):
 
 
 def test_enumeration_is_lexicographic():
-    for kind, shape, n in SMALL_GRID:
+    for kind, shape, n in SMALL_GRID + FLOOR_GRID:
         alpha_rank = {e.token: r for r, e in enumerate(alphabet(kind, n))}
         keys = [tuple(alpha_rank[e.token] for row in t.rows for e in row)
                 for t in enumerate_tableaux(kind, shape, n)]
         assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("kind,shape,n", SMALL_GRID)
+@pytest.mark.parametrize("kind,shape,n", SMALL_GRID + FLOOR_GRID)
 def test_validate_accepts_every_enumerated(kind, shape, n):
     for t in enumerate_tableaux(kind, shape, n):
         assert validate_tableau(t)
@@ -374,7 +377,7 @@ def test_tableau_weight_rejects_invalid():
     ("soQ", (1,), 2),
     # first rows with two or more cells past the ones keyed for row 2
     ("glChar", (4, 1), 3), ("spChar", (4, 1), 2), ("soChar", (3, 1), 3),
-    ("glQ", (4, 1), 3), ("spQ", (4, 1), 2), ("soQ", (4, 1), 2)])
+    ("glQ", (4, 1), 3), ("spQ", (4, 1), 2), ("soQ", (4, 1), 2)] + FLOOR_GRID)
 def test_weight_sum_matches_per_tableau_sum(kind, shape, n):
     vt = vartable_for(n, shape[0] if shape else 0)
     naive = MultiPoly.zero(vt)
