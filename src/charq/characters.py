@@ -284,7 +284,7 @@ def one_part_expansion(kind: str, m: int, vt: VarTable) -> MultiPoly:
     n = vt.n
     if m == 0:
         return MultiPoly.one(vt)
-    if m + n - (kind == "gl") > vt.a_max:
+    if m + n - (kind != "so") > vt.a_max:
         raise AIndexOutOfRange("table too small for this expansion")
     if kind == "gl":
         letters = [(xv(vt, i), i) for i in range(1, n + 1)]

@@ -209,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "classical groups, with cross-verified routes.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
+    def common(p):
         p.add_argument("--kind", required=True)
-        if need_n:
-            p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated parts; empty for the empty partition")
         p.add_argument("--a", choices=("symbolic", "zero"), default="symbolic")

@@ -1,9 +1,10 @@
 """Identity suites: exhaustive checks over bounded parameter grids.
 
-Each suite enumerates its grid in a fixed order, evaluates every case
-exactly (zero tolerance), one after another, and returns a SuiteReport
-whose case list is in that order.  Suites never sample, and reports
-carry no timings, so the same call gives the same report byte for byte.
+Each suite enumerates its grid in a fixed order and computes every case
+exactly (zero tolerance) where the grid lists it: a case builder returns
+``(inputs, equal, detail)``, and the SuiteReport lists the cases in grid
+order.  Suites never sample, and reports carry no timings, so the same
+call gives the same report byte for byte.
 ``SUITE_TABLE`` maps each suite name to its function, in the order
 ``--suite all`` runs them.
 """
@@ -70,9 +71,10 @@ class SuiteReport:
 
 
 def _run_cases(suite: str, cases) -> SuiteReport:
-    """cases: list of (inputs_dict, thunk) where thunk() -> (equal, detail)."""
-    return SuiteReport(suite, [CaseResult(index, inputs, *thunk())
-                               for index, (inputs, thunk) in enumerate(cases)])
+    """Number the computed cases, (inputs, equal, detail) triples in grid
+    order, into the suite's report."""
+    return SuiteReport(suite, [CaseResult(index, *case)
+                               for index, case in enumerate(cases)])
 
 
 def _kinds(family: tuple[str, ...], kind_filter, what: str) -> tuple[str, ...]:
@@ -107,15 +109,11 @@ def suite_jt_vs_def(n_max: int = 2, lambda_max: int = 3,
 def _route_case(kind, n, parts, methods):
     inputs = {"kind": kind, "n": n, "lambda": list(parts),
               "routes": list(methods)}
-
-    def thunk():
-        vt = vartable_for(n, parts[0] if parts else 0)
-        values = {m: CHAR_ROUTES[m](kind, parts, vt) for m in methods}
-        first = values[methods[0]]
-        equal = all(v == first for v in values.values())
-        return equal, {"terms": first.n_terms()}
-
-    return inputs, thunk
+    vt = vartable_for(n, parts[0] if parts else 0)
+    values = {m: CHAR_ROUTES[m](kind, parts, vt) for m in methods}
+    first = values[methods[0]]
+    equal = all(v == first for v in values.values())
+    return inputs, equal, {"terms": first.n_terms()}
 
 
 # -- Q-function suites --------------------------------------------------------
@@ -133,14 +131,11 @@ def suite_q_routes(n_max: int = 2, lambda_max: int = 3,
 
 def _q_route_case(kind, n, parts):
     inputs = {"identity": "q-routes", "kind": kind, "n": n, "lambda": list(parts)}
-
-    def thunk():
-        vt = vartable_for(n, parts[0] if parts else 0)
-        lhs = q_tableaux(kind, parts, vt)
-        rhs = q_determinantal(kind, parts, vt)
-        return lhs == rhs, {"lhs_terms": lhs.n_terms(), "rhs_terms": rhs.n_terms()}
-
-    return inputs, thunk
+    vt = vartable_for(n, parts[0] if parts else 0)
+    lhs = q_tableaux(kind, parts, vt)
+    rhs = q_determinantal(kind, parts, vt)
+    return inputs, lhs == rhs, {"lhs_terms": lhs.n_terms(),
+                                "rhs_terms": rhs.n_terms()}
 
 
 def suite_tokuyama(n_max: int = 2, mu_max: int = 2,
@@ -158,14 +153,10 @@ def suite_tokuyama(n_max: int = 2, mu_max: int = 2,
 
 def _tokuyama_case(kind, n, mu):
     inputs = {"identity": "tokuyama", "kind": kind, "mu": list(mu), "n": n}
-
-    def thunk():
-        vt = vartable_for(n, (mu[0] if mu else 0) + n)
-        rep = verify_tokuyama(kind, mu, vt)
-        return rep.equal, {"lhs_terms": rep.lhs.n_terms(),
-                           "rhs_terms": rep.rhs.n_terms()}
-
-    return inputs, thunk
+    vt = vartable_for(n, (mu[0] if mu else 0) + n)
+    rep = verify_tokuyama(kind, mu, vt)
+    return inputs, rep.equal, {"lhs_terms": rep.lhs.n_terms(),
+                               "rhs_terms": rep.rhs.n_terms()}
 
 
 # -- h-family lemma suite -----------------------------------------------------
@@ -193,52 +184,37 @@ def suite_h_diff(n_max: int = 2, m_max: int = 4,
 
 def _h_diff_case(kind, n, i, j, m):
     inputs = {"identity": "h-diff", "kind": kind, "n": n, "i": i, "j": j, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m)
-        lhs = h_range(kind, m, i, j - 1, vt) - h_range(kind, m, i + 1, j, vt)
-        rhs = weyl_factor(kind, i, j, vt) * h_range(kind, m - 1, i, j, vt)
-        return lhs == rhs, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m)
+    lhs = h_range(kind, m, i, j - 1, vt) - h_range(kind, m, i + 1, j, vt)
+    rhs = weyl_factor(kind, i, j, vt) * h_range(kind, m - 1, i, j, vt)
+    return inputs, lhs == rhs, {}
 
 
 def _h_recursion_case(kind, n, m):
     inputs = {"identity": "h-recursion", "kind": kind, "n": n, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m)
-        full = h_range(kind, m, 1, n, vt)
-        head = h_range(kind, m, 1, n - 1, vt)
-        rhs = head + add_a(xv(vt, n), m + n - 1) * h_range(kind, m - 1, 1, n, vt)
-        return full == rhs, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m)
+    full = h_range(kind, m, 1, n, vt)
+    head = h_range(kind, m, 1, n - 1, vt)
+    rhs = head + add_a(xv(vt, n), m + n - 1) * h_range(kind, m - 1, 1, n, vt)
+    return inputs, full == rhs, {}
 
 
 def _one_part_case(kind, n, m):
     inputs = {"identity": "one-part", "kind": kind, "n": n, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m)
-        return one_part_expansion(kind, m, vt) == h_factorial(kind, m, 1, vt), {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m)
+    equal = one_part_expansion(kind, m, vt) == h_factorial(kind, m, 1, vt)
+    return inputs, equal, {}
 
 
 def _h_denominator_case(kind, n):
     inputs = {"identity": "h-denominator", "kind": kind, "n": n}
-
-    def thunk():
-        vt = vartable_for(n, 0 if kind == "gl" else 1)
-        try:
-            for route in ("hdet", "def"):
-                _ratio_denominator(kind, vt, route)
-        except AlgebraError:
-            return False, {}
-        return True, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, 0 if kind == "gl" else 1)
+    try:
+        for route in ("hdet", "def"):
+            _ratio_denominator(kind, vt, route)
+    except AlgebraError:
+        return inputs, False, {}
+    return inputs, True, {}
 
 
 # -- f / qtilde lemma suite ----------------------------------------------------
@@ -271,74 +247,58 @@ def suite_f_diff(n_max: int = 2, m_max: int = 4,
 
 def _f_diff_case(kind, n, p, q, m):
     inputs = {"identity": "f-diff", "kind": kind, "n": n, "p": p, "q": q, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m + n)
-        lhs = f_mpqn(kind, m, p, q - 1, vt) - f_mpqn(kind, m, p + 1, q, vt)
-        rhs = prefactor(kind, p, q, vt) * f_mpqn(kind, m - 1, p, q, vt)
-        return lhs == rhs, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m + n)
+    lhs = f_mpqn(kind, m, p, q - 1, vt) - f_mpqn(kind, m, p + 1, q, vt)
+    rhs = prefactor(kind, p, q, vt) * f_mpqn(kind, m - 1, p, q, vt)
+    return inputs, lhs == rhs, {}
 
 
 def _f_reduction_case(kind, n, p, q, m):
     inputs = {"identity": "f-reduction", "kind": kind, "n": n, "p": p, "q": q, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m + n)
-        ok = True
-        if p == q:
-            ok = f_mpqn(kind, m, p, p, vt) == q_md(kind, m, p, vt)
-        if q == n:
-            h = h_factorial(CHAR_KIND[kind], m, p, vt)
-            if kind == "soQ":
-                h = shift_a_down(h, vt)
-            ok = ok and f_mpqn(kind, m, p, n, vt) == h
-        return ok, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m + n)
+    ok = True
+    if p == q:
+        ok = f_mpqn(kind, m, p, p, vt) == q_md(kind, m, p, vt)
+    if q == n:
+        h = h_factorial(CHAR_KIND[kind], m, p, vt)
+        if kind == "soQ":
+            h = shift_a_down(h, vt)
+        ok = ok and f_mpqn(kind, m, p, n, vt) == h
+    return inputs, ok, {}
 
 
 def _bridge_case(kind, n, i, m):
     inputs = {"identity": "bridge", "kind": kind, "n": n, "i": i, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m + 2)
-        xs = [xv(vt, k) for k in range(i, n + 1)]
-        xs1 = [xv(vt, k) for k in range(i + 1, n + 1)]
-        xb = [xbar(vt, k) for k in range(i, n + 1)]
-        ys1 = [yv(vt, k) for k in range(i + 1, n + 1)]
-        yb = [ybar(vt, k) for k in range(i, n + 1)]
-        yb1 = [ybar(vt, k) for k in range(i + 1, n + 1)]
-        extra = [MultiPoly.one(vt)] if kind == "soQ" else []
-        lhs = (xv(vt, i) + yv(vt, i)) * qtilde(m, xs + xb, ys1 + yb + extra, vt) \
-            + (xbar(vt, i) + ybar(vt, i)) * qtilde(m, xs1 + xb, ys1 + yb1 + extra, vt)
-        rhs = prefactor(kind, i, i, vt) * q_md(kind, m, i, vt)
-        return lhs == rhs, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m + 2)
+    xs = [xv(vt, k) for k in range(i, n + 1)]
+    xs1 = [xv(vt, k) for k in range(i + 1, n + 1)]
+    xb = [xbar(vt, k) for k in range(i, n + 1)]
+    ys1 = [yv(vt, k) for k in range(i + 1, n + 1)]
+    yb = [ybar(vt, k) for k in range(i, n + 1)]
+    yb1 = [ybar(vt, k) for k in range(i + 1, n + 1)]
+    extra = [MultiPoly.one(vt)] if kind == "soQ" else []
+    lhs = (xv(vt, i) + yv(vt, i)) * qtilde(m, xs + xb, ys1 + yb + extra, vt) \
+        + (xbar(vt, i) + ybar(vt, i)) * qtilde(m, xs1 + xb, ys1 + yb1 + extra, vt)
+    rhs = prefactor(kind, i, i, vt) * q_md(kind, m, i, vt)
+    return inputs, lhs == rhs, {}
 
 
 def _qtilde_recursion_case(n, r, s, m):
     inputs = {"identity": "qtilde-recursion", "n": n, "r": r, "s": s, "m": m}
-
-    def thunk():
-        vt = vartable_for(n, m + r + 1)
-        us = [xv(vt, (k % n) + 1) for k in range(r)]
-        vs = [yv(vt, (k % n) + 1) for k in range(s)]
-        ok = True
-        lhs = qtilde(m, us, vs, vt)
-        if r >= 1:
-            rhs = qtilde(m, us[:-1], vs, vt) + \
-                add_a(us[-1], m + r - s - 1) * qtilde(m - 1, us, vs, vt)
-            ok = lhs == rhs
-        if s >= 1:
-            rhs = qtilde(m, us, vs[:-1], vt) + \
-                add_a(vs[-1], m + r - s, sign=-1) * qtilde(m - 1, us, vs[:-1], vt)
-            ok = ok and lhs == rhs
-        return ok, {}
-
-    return inputs, thunk
+    vt = vartable_for(n, m + r + 1)
+    us = [xv(vt, (k % n) + 1) for k in range(r)]
+    vs = [yv(vt, (k % n) + 1) for k in range(s)]
+    ok = True
+    lhs = qtilde(m, us, vs, vt)
+    if r >= 1:
+        rhs = qtilde(m, us[:-1], vs, vt) + \
+            add_a(us[-1], m + r - s - 1) * qtilde(m - 1, us, vs, vt)
+        ok = lhs == rhs
+    if s >= 1:
+        rhs = qtilde(m, us, vs[:-1], vt) + \
+            add_a(vs[-1], m + r - s, sign=-1) * qtilde(m - 1, us, vs[:-1], vt)
+        ok = ok and lhs == rhs
+    return inputs, ok, {}
 
 
 # -- lattice-path suite ---------------------------------------------------------
@@ -381,66 +341,62 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
 
 def _lgv_case(kind, parts, n):
     inputs = {"identity": "lgv", "kind": kind, "lambda": list(parts), "n": n}
+    # before vartable_for, which would call a negative part a bad a_max
+    check_shape(kind, parts, n)
+    vt = vartable_for(n, parts[0] if parts else 0)
+    unit = ((vt.zero, 1),)
+    # tableaux share rows, so one row memo serves the case and a path
+    # recurs as one object; cell and edge factors are shared values too
+    # (algebra.linear_factor).  Each distinct weight and path is read
+    # once, keyed by id; its entry holds the object, so the id cannot be
+    # reused while it is memoised.
+    rows = {}
+    weights = {}
+    paths = {}
 
-    def thunk():
-        # before vartable_for, which would call a negative part a bad a_max
-        check_shape(kind, parts, n)
-        vt = vartable_for(n, parts[0] if parts else 0)
-        unit = ((vt.zero, 1),)
-        # tableaux share rows, so one row memo serves the case and a path
-        # recurs as one object; cell and edge factors are shared values too
-        # (algebra.linear_factor).  Each distinct weight and path is read
-        # once, keyed by id; its entry holds the object, so the id cannot be
-        # reused while it is memoised.
-        rows = {}
-        weights = {}
-        paths = {}
+    def key(w):
+        hit = weights.get(id(w))
+        if hit is None:
+            hit = weights[id(w)] = (w, _term_key(w))
+        return hit[1]
 
-        def key(w):
-            hit = weights.get(id(w))
-            if hit is None:
-                hit = weights[id(w)] = (w, _term_key(w))
-            return hit[1]
+    def path_data(p):
+        """(non-unit weight keys, injectivity signature, D steps)"""
+        hit = paths.get(id(p))
+        if hit is None:
+            ws = [key(e.weight) for e in p.edges]
+            # curved variants can share geometry (x_k vs y_k starts),
+            # so the identity of a path includes its edge weights
+            hit = paths[id(p)] = (p, (
+                [w for w in ws if w != unit],
+                tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws)),
+                sum(1 for e in p.edges if e.kind == "D")))
+        return hit[1]
 
-        def path_data(p):
-            """(non-unit weight keys, injectivity signature, D steps)"""
-            hit = paths.get(id(p))
-            if hit is None:
-                ws = [key(e.weight) for e in p.edges]
-                # curved variants can share geometry (x_k vs y_k starts),
-                # so the identity of a path includes its edge weights
-                hit = paths[id(p)] = (p, (
-                    [w for w in ws if w != unit],
-                    tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws)),
-                    sum(1 for e in p.edges if e.kind == "D")))
-            return hit[1]
-
-        seen = set()
-        count = 0
-        for t in enumerate_tableaux(kind, parts, n):
-            count += 1
-            pt = tableau_to_paths(t, vt, rows)
-            data = [path_data(p) for p in pt.paths]
-            if parts:
-                factors = tableau_factors(t, vt)
-                edge_ms = sorted(w for ws, _, _ in data for w in ws)
-                cell_ms = sorted(w for w in map(key, factors) if w != unit)
-                if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
-                    return False, {"count": count, "reason": "weight mismatch"}
-            if not pt.non_intersecting():
-                return False, {"count": count, "reason": "paths intersect"}
-            sig = tuple(s for _, s, _ in data)
-            if sig in seen:
-                return False, {"count": count, "reason": "not injective"}
-            seen.add(sig)
-            if kind in CHAR_KINDS:
-                for (_, _, diag_steps), row in zip(data, t.rows):
-                    zeros = sum(1 for e in row if e.zero)
-                    if diag_steps != zeros or diag_steps > 1:
-                        return False, {"count": count, "reason": "diagonal steps"}
-        return True, {"count": count}
-
-    return inputs, thunk
+    seen = set()
+    count = 0
+    for t in enumerate_tableaux(kind, parts, n):
+        count += 1
+        pt = tableau_to_paths(t, vt, rows)
+        data = [path_data(p) for p in pt.paths]
+        if parts:
+            factors = tableau_factors(t, vt)
+            edge_ms = sorted(w for ws, _, _ in data for w in ws)
+            cell_ms = sorted(w for w in map(key, factors) if w != unit)
+            if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
+                return inputs, False, {"count": count, "reason": "weight mismatch"}
+        if not pt.non_intersecting():
+            return inputs, False, {"count": count, "reason": "paths intersect"}
+        sig = tuple(s for _, s, _ in data)
+        if sig in seen:
+            return inputs, False, {"count": count, "reason": "not injective"}
+        seen.add(sig)
+        if kind in CHAR_KINDS:
+            for (_, _, diag_steps), row in zip(data, t.rows):
+                zeros = sum(1 for e in row if e.zero)
+                if diag_steps != zeros or diag_steps > 1:
+                    return inputs, False, {"count": count, "reason": "diagonal steps"}
+    return inputs, True, {"count": count}
 
 
 def _term_key(p: MultiPoly) -> tuple:

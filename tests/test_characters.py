@@ -9,7 +9,7 @@ from charq import characters
 from charq.algebra import (AIndexOutOfRange, AlgebraError, MultiPoly,
                            NonExactDivision, add_a, av, determinant, exact_div,
                            factorial_power, permute_variables, specialize,
-                           vartable_for, xbar, xv)
+                           vartable, vartable_for, xbar, xv)
 from charq.characters import (_def_entry, _ratio_denominator,
                               char_combinatorial, char_definitional,
                               char_flagged_jt, char_hdet, character,
@@ -209,6 +209,21 @@ def test_one_part_matches_h(kind):
             got = one_part_expansion(kind, m, vt)
             assert got == h_factorial(kind, m, 1, vt), (kind, n, m)
             assert got == _one_part_brute_force(kind, m, vt), (kind, n, m)
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_one_part_needs_exactly_its_a_range(kind):
+    """gl and sp letters index at most a_{m+n-1}; so's tail is
+    1 - a_{m+n}.  At that need the expansion is h; one slot short it
+    raises instead of truncating."""
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            need = m + n - (kind != "so")
+            vt = vartable(n, need)
+            assert one_part_expansion(kind, m, vt) == \
+                h_factorial(kind, m, 1, vt), (kind, n, m)
+            with pytest.raises(AIndexOutOfRange):
+                one_part_expansion(kind, m, vartable(n, need - 1))
 
 
 # -- difference relations and denominators -----------------------------------------

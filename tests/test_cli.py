@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from charq import lattice
-from charq.algebra import vartable_for
+from charq import characters, lattice, verify
+from charq.algebra import MultiPoly, vartable_for
 from charq.cli import main
 from charq.partitions import enumerate_partitions
 from charq.tableaux import ALL_KINDS, Q_KINDS, enumerate_tableaux
@@ -227,6 +227,10 @@ def test_verify_all_default_grid_bytes_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "bfda45a036b62f2528167c9656f3d0957646efcca0137791af19ab320cc78720"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--out", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "dbf9654fc63014cfa02814c1cfce46676b7f99c44c73a551669cca456acf5e8e"
 
 
 # the series-bound suites at the grids the benchmark's cli-mix runs
@@ -254,6 +258,34 @@ def test_verify_all(capsys):
     names = [json.loads(line)["suite"] for line in out.splitlines()]
     assert names == ["routes", "jt-vs-def", "q-routes", "tokuyama",
                      "h-diff", "f-diff", "lgv"]
+
+
+def test_identity_failures_exit_3(capsys, monkeypatch):
+    # a constant 2 in front of every tableau's cell factors breaks the
+    # lattice-path weight check
+    real = verify.tableau_factors
+    monkeypatch.setattr(verify, "tableau_factors",
+                        lambda t, vt: [MultiPoly.const(vt, 2)] + real(t, vt))
+    argv = ("verify", "--suite", "lgv", "--kind", "glChar", "--n", "2",
+            "--lambda", "2,1")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and '"failed":1' in out
+    assert err.startswith('first failing case: {"case":0,')
+    assert '"reason":"weight mismatch"' in err
+    code, out, err = run(capsys, *argv, "--out", "text")
+    assert code == 3 and '  [FAIL] {"identity":"lgv",' in out
+    assert err.startswith('first failing case: {"case":0,')
+    assert '"reason":"weight mismatch"' in err
+    # two routes that disagree
+    tab = characters.CHAR_ROUTES["tab"]
+    monkeypatch.setitem(characters.CHAR_ROUTES, "tab",
+                        lambda kind, lam, vt: tab(kind, lam, vt) + 1)
+    argv = ("char", "--kind", "gl", "--n", "1", "--lambda", "1",
+            "--method", "jt,tab")
+    code, out, _ = run(capsys, *argv, "--out", "text")
+    assert code == 3 and out.splitlines()[-1] == "equal: false"
+    code, out, _ = run(capsys, *argv)
+    assert code == 3 and json.loads(out)["equal"] is False
 
 
 def test_usage_errors_exit_2(capsys):

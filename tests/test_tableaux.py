@@ -362,12 +362,12 @@ def test_tableau_weight_rejects_invalid():
 
 @pytest.mark.parametrize("kind,shape,n", SMALL_GRID + [
     ("glChar", (), 2), ("soQ", (3, 1), 2), ("spChar", (2, 2, 1), 3),
-    # multi-row shapes at n = 3; for spQ/soQ the thresholds also carry
-    # the diagonal dimension
+    # multi-row shapes at n = 3; for spQ/soQ the diagonal-group rule is
+    # folded into each row's floors, so keys carry no group coordinate
     ("spQ", (3, 2, 1), 3), ("soQ", (3, 2), 3), ("soChar", (2, 2, 2), 3),
     ("glQ", (3, 1), 3),
-    # lower rows of width 3: prefix sums over three rank coordinates (four
-    # with the diagonal group)
+    # lower rows of width 3: prefix sums over three rank coordinates, in
+    # every family
     ("spChar", (3, 3), 3), ("soChar", (3, 3), 3), ("glQ", (4, 3), 3),
     ("spQ", (4, 3), 2), ("soQ", (4, 3), 2)] + [
     # one-row shapes: row 1's cell-by-cell sum is the whole total
