@@ -117,10 +117,7 @@ def cmd_tableaux(args) -> int:
         raise SpecError("--paths needs the JSON tableau stream, "
                         "not --count or --out text")
     parts = _parse_parts(args.lam)
-    try:
-        check_shape(args.kind, parts, args.n)
-    except ValueError as exc:
-        raise SpecError(str(exc))
+    check_shape(args.kind, parts, args.n)
     if args.count:
         print(count_tableaux(args.kind, parts, args.n))
         return 0
@@ -182,10 +179,7 @@ def cmd_verify(args) -> int:
     for name in names:
         params = _suite_params(name)
         suite_kw = {k: v for k, v in kw.items() if k in params}
-        try:
-            report = run_suite(name, **suite_kw)
-        except ValueError as exc:
-            raise SpecError(str(exc))
+        report = run_suite(name, **suite_kw)
         failures += report.failed
         if args.out == "json":
             print(json.dumps(report.to_obj(), separators=(",", ":")))
@@ -256,10 +250,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (AlgebraError, ValueError) as exc:
+    except (SpecError, AlgebraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:

@@ -7,7 +7,12 @@ from typing import Iterator, Sequence
 
 
 def _clean_parts(parts: Sequence[int]) -> tuple[int, ...]:
+    """Integer parts, trailing zeros stripped; ValueError on a part that
+    is not an integer (2.0 and True pass as 2 and 1)."""
+    parts = tuple(parts)
     out = tuple(int(p) for p in parts)
+    if out != parts:
+        raise ValueError(f"parts {parts} must be integers")
     while out and out[-1] == 0:
         out = out[:-1]
     return out

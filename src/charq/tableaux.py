@@ -316,13 +316,13 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     yield from stack(1, ())
 
 
-def _row_ranks(kind, alpha, i, width, floors=()):
-    """Rank tuples of every admissible row i of the given width, in
-    lexicographic order.  Ranks start at the row's minimum and obey the
-    row-repeat rule; cell c also stays at or above ``floors[c]`` where the
-    row above reaches (see _floors, which also carries the spQ/soQ
-    diagonal-group rule); in the Q kinds the diagonal cell holds no zero
-    letter."""
+def _row_ranks(kind, alpha, i, width, floors):
+    """Rank tuples of every admissible row i of the given width under the
+    row above, in lexicographic order: enumeration's row generator.  Ranks
+    start at the row's minimum and obey the row-repeat rule; cell c also
+    stays at or above ``floors[c]`` where the row above reaches (_floors,
+    which also carries the spQ/soQ diagonal-group rule; empty for row 1);
+    in the Q kinds the diagonal cell holds no zero letter."""
     A = len(alpha)
     lo = max(_row_min_rank(kind, i), floors[0] if floors else 0)
     rows = [(r,) for r in _first_ranks(kind, alpha, lo)]
@@ -336,9 +336,10 @@ def _row_ranks(kind, alpha, i, width, floors=()):
     return rows
 
 
-def _first_ranks(kind, alpha, lo=0):
-    """Ranks from lo up that may start a row: in the Q kinds the diagonal
-    cell holds no zero letter (Q6)."""
+def _first_ranks(kind, alpha, lo):
+    """Ranks from lo up that may start a row (lo: the row's minimum,
+    raised in enumeration to the floor under the row above): in the Q
+    kinds the diagonal cell holds no zero letter (Q6)."""
     if kind not in Q_KINDS:
         return range(lo, len(alpha))
     return [r for r in range(lo, len(alpha)) if not alpha[r].zero]
@@ -428,14 +429,13 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # the rules coupling row i+1 to row i come down to one lower bound per
 # cell of row i+1, a function of row i alone (_floors: the entry directly
 # above, and in spQ/soQ the diagonal-group bound of Q5).  So we sweep
-# rows top to bottom.  Each candidate row content r of row i >= 2 (from
-# _row_ranks, without floors) has weight w(r); its product with the sum
-# of weights of all fillings of rows 1..i-1 that admit r goes straight
-# into the bucket of the threshold vector r imposes on row i+1 (_floors),
-# or into the total on the last row.  The buckets are prefix-summed and
-# row i+1 reads each of its candidates' sums off with one lookup.
-# Thresholds and candidates both weakly increase, so the prefix sums run
-# over weakly increasing keys up to the largest candidate, last
+# rows top to bottom.  Each content r of row i has weight w(r); its
+# product with the sum of weights of all fillings of rows 1..i-1 that
+# admit r goes straight into the bucket of the threshold vector r imposes
+# on row i+1, or into the total on the last row.  The buckets are
+# prefix-summed and row i+1 reads each of its contents' sums off with one
+# lookup.  Thresholds and contents both weakly increase, so the prefix
+# sums run over weakly increasing keys up to the largest content, last
 # coordinate first.  That is exact: once coordinates d+1.. are summed and
 # those before d fixed, a key whose coordinate d drops below coordinate
 # d-1 could only hold a threshold vector that does not weakly increase,
@@ -443,21 +443,19 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # (spQ under a diagonal letter of group n); that bucket is seeded and
 # never read.  test_tableaux pins this against the naive per-tableau sum.
 #
-# Row 1 has nothing above it, so each of its buckets is a plain sum of
-# products of cell weights along the row, and that sum factors cell by
-# cell (a transfer-matrix sum, Stanley, EC1 4.7).  _first_row_sums keeps
-# one term dict per state (key so far, rank of the last cell).  Cell c
-# extends each state by every letter the row rules admit after its last
-# one, times that letter's weight in cell (1, 1+c); on the cells with a
-# cell of row 2 below them (1..below shifted, 0..below-1 otherwise) the
-# key gains the letter's floor, raised to the key's last coordinate, or
-# for the first one to the Q5 bound of the diagonal letter, so the key
-# is the row's _floors vector.  States that agree merge, so every row
-# prefix reaching a state shares its dict and no weight is formed per
-# candidate row; the last cell drops the rank, which leaves the bucket
-# table ({(): total} for a one-row shape).  Lower rows do not factor
-# this way: a candidate reads its sum from above at its whole content,
-# so it must be complete before it is weighted.
+# Every row is weighed cell by cell (_row_sums; a transfer-matrix sum,
+# Stanley, EC1 4.7).  Cell c extends each state by every letter the row
+# rules admit after its last one, times that letter's weight in cell
+# (i, start + c); on the cells with a cell of row i+1 below them the
+# state's key gains the letter's floor, raised to the key's last
+# coordinate, or for the first one to the Q5 bound of the diagonal
+# letter, so the finished key is the row's _floors vector.  Row 1 has
+# nothing above it, so its states keep only the last rank and drop it on
+# the last cell: states that agree merge, every prefix reaching a state
+# shares its dict, and what is left is the bucket table ({(): total} for
+# a one-row shape).  A lower row reads its sum from above at its whole
+# content, so its states keep the content and do not merge; their
+# weights are the shared prefix products.
 #
 # Every sum is a term dict; no polynomial is built per product.  Products
 # accumulate through algebra._add_products, which checks each finished
@@ -468,51 +466,37 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # written after it is stored.
 
 
-def _row_candidates(kind, alpha, n, i, width, vt):
-    """All admissible contents for row i >= 2 in isolation, as (ranks,
-    weight) pairs; within-row rules applied, cross-row rules left to the
-    caller.  Rows sharing a prefix share its weight, so every distinct
-    prefix costs one multiplication.  Row 1 never comes here: its sums
-    are taken cell by cell (_first_row_sums)."""
-    start = i if kind in Q_KINDS else 1
-    weights = {(): MultiPoly.one(vt)}
-
-    def weight(ranks):
-        w = weights.get(ranks)
-        if w is None:
-            c = len(ranks) - 1
-            w = weights[ranks] = weight(ranks[:-1]) * cell_weight(
-                vt, kind, n, alpha[ranks[-1]], i, start + c)
-        return w
-
-    return [(ranks, weight(ranks)) for ranks in _row_ranks(kind, alpha, i, width)]
-
-
-def _first_row_sums(kind, alpha, n, width, below, vt):
-    """Row 1's weights summed by the bucket each row content goes into:
-    {threshold vector on a row 2 of width ``below`` (_floors): term dict},
-    which is {(): total} when ``below`` is 0 (a one-row shape).  Taken
-    cell by cell over the states (key so far, rank of the last cell); the
-    last cell drops the rank.  A key may reach len(alpha) (see _floors)."""
+def _row_sums(kind, alpha, n, i, width, below, vt):
+    """Row i's weights, cell by cell, as {(ranks kept, threshold key on a
+    row i+1 of width ``below`` (_floors)): term dict}.  Row 1 keeps no
+    rank once the row is complete, so its contents merge into one sum per
+    key ({((), ()): total} for a one-row shape); a lower row keeps its
+    whole content.  A key may reach len(alpha) (see _floors)."""
     A = len(alpha)
     qkind = kind in Q_KINDS
     floor = [_floor_of(kind, alpha, r) for r in range(A)]
-    # Q5 (see _floors): the least floor on row 2 under each diagonal letter
+    # Q5 (see _floors): the least floor on row i+1 under each diagonal letter
     lift = {r: 4 * e.k for r, e in enumerate(alpha)} if kind in ("spQ", "soQ") else {}
-    first = _first_ranks(kind, alpha)
-    # the cells with a cell of row 2 below them: 1..below in a shifted row
+    first = _first_ranks(kind, alpha, _row_min_rank(kind, i))
+    # the cells with a cell of row i+1 below them: 1..below in a shifted row
     keyed = range(qkind, qkind + below)
-    states = {((), None): MultiPoly.one(vt).terms}
+    start = i if qkind else 1
+    states = {((), ()): MultiPoly.one(vt).terms}
     for c in range(width):
-        w = [cell_weight(vt, kind, n, e, 1, 1 + c).terms for e in alpha]
+        w = [cell_weight(vt, kind, n, e, i, start + c).terms for e in alpha]
+        # a lower row keeps its whole content; row 1 its last rank while
+        # the row runs, and none after the last cell
+        keep = i > 1 or c + 1 < width
         out: dict[tuple, list] = {}
-        for (key, last), acc in states.items():
-            ranks = first if last is None else range(_next_lo(kind, alpha, last), A)
+        for (ranks, key), acc in states.items():
+            last = ranks[-1] if ranks else None
+            nxt = first if last is None else range(_next_lo(kind, alpha, last), A)
             # keys weakly increase; the first coordinate carries the lift
             lo = key[-1] if key else lift.get(last, 0)
-            for r in ranks:
+            head = ranks if i > 1 else ()
+            for r in nxt:
                 k = key + (max(floor[r], lo),) if c in keyed else key
-                out.setdefault((k, r) if c + 1 < width else k, []).append(
+                out.setdefault((head + (r,) if keep else (), k), []).append(
                     (w[r], acc, 1))
         states = {s: _add_products(vt, {}, prods) for s, prods in out.items()}
     return states
@@ -520,14 +504,15 @@ def _first_row_sums(kind, alpha, n, width, below, vt):
 
 def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
     """Sum of tableau_weight over every tableau of the given kind/shape:
-    row 1 summed cell by cell, then one bucket sweep per lower row (see
-    the comment above)."""
+    every row weighed cell by cell, then summed into the buckets of the
+    row below (see the comment above)."""
     parts = check_shape(kind, shape, n)
     if len(parts) == 0:
         return MultiPoly.one(vt)
     alpha = alphabet(kind, n)
     widths = parts + (0,)
-    table = _first_row_sums(kind, alpha, n, parts[0], widths[1], vt)
+    table = {key: acc for (_, key), acc in
+             _row_sums(kind, alpha, n, 1, parts[0], widths[1], vt).items()}
     for i in range(2, len(parts) + 1):
         width = parts[i - 1]
         # prefix sums; lexicographic order updates key - e_d before key
@@ -542,10 +527,9 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
         # the products w * acc of row i, by the bucket they go into: the
         # threshold vector on row i+1, which is () on the last row (the total)
         buckets: dict[tuple, list] = {}
-        for ranks, w in _row_candidates(kind, alpha, n, i, width, vt):
+        for (ranks, th), w in _row_sums(kind, alpha, n, i, width, widths[i], vt).items():
             acc = table.get(ranks)
             if acc:
-                th = _floors(kind, alpha, ranks, widths[i])
-                buckets.setdefault(th, []).append((w.terms, acc, 1))
+                buckets.setdefault(th, []).append((w, acc, 1))
         table = {th: _add_products(vt, {}, prods) for th, prods in buckets.items()}
     return _poly(vt, table[()])

@@ -251,6 +251,14 @@ def test_exact_div_examples():
     assert exact_div(p, MultiPoly.one(VT)) == p
 
 
+def test_exact_div_rational_coefficients():
+    vt = vartable(1, 0)
+    p = xv(vt, 1) * Fraction(1, 2) + Fraction(1, 3)
+    q = xv(vt, 1) + 1
+    assert exact_div(p * q, p) == q
+    assert exact_div(p * q, q) == p
+
+
 def test_exact_div_laurent():
     num = _x(1, 2) - _x(1, -2)
     den = xv(VT, 1) - _x(1, -1)

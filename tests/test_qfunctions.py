@@ -292,6 +292,15 @@ def test_routes_agree(kind, n):
             (kind, n, lam.parts)
 
 
+@pytest.mark.parametrize("kind", ["spQ", "soQ"])
+def test_routes_agree_under_two_keyed_cells_of_a_lower_row(kind):
+    # row 2 keys two cells for row 3, and the second coordinate is raised
+    # to the diagonal-group bound the first carries; past the naive
+    # per-tableau sum (57,344 spQ tableaux)
+    vt = vartable_for(3, 4)
+    assert q_tableaux(kind, (4, 3, 2), vt) == q_determinantal(kind, (4, 3, 2), vt)
+
+
 @pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
 def test_tableau_count_is_the_det_route_at_unit_weights(kind):
     # at a = 0 and x = y = 1 every cell weight is 1, so the det route's value

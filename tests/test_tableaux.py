@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
+from charq.characters import char_flagged_jt
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
 from charq.tableaux import (ALL_KINDS, Q_KINDS, ShapeKindMismatch,
@@ -156,6 +157,24 @@ def test_check_shape_accepts_every_shape_form():
         assert check_shape("soQ", (3, 0), 1) == (3,)
 
 
+def test_non_integer_parts_are_refused():
+    vt = vartable_for(2, 2)
+    for parts in ((2.5,), (1.7, 0.2), ("2",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            check_shape("glChar", parts, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            Partition(parts, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            StrictPartition(parts, 2)
+        with pytest.raises(ValueError, match="must be integers"):
+            char_flagged_jt("gl", parts, vt)
+    # an integral float names the same shape as its int
+    assert check_shape("glChar", (2.0,), 2) == (2,)
+    assert Partition((2.0,), 2).parts == (2,)
+    assert StrictPartition((2.0,), 2).parts == (2,)
+    assert char_flagged_jt("gl", (2.0,), vt) == char_flagged_jt("gl", (2,), vt)
+
+
 # -- validation negatives --------------------------------------------------------
 
 
@@ -214,6 +233,19 @@ def test_q_rule_violations():
 def test_row_decrease_is_flagged():
     rep = validate_tableau(_tab("glChar", 2, [("2", "1")]))
     assert not rep and rep.rule == "T1"
+
+
+def test_letters_outside_the_alphabet_and_short_rows():
+    rep = validate_tableau(_tab("glChar", 2, [("3",)]))
+    assert not rep and rep.rule == "alphabet" and rep.cell == (1, 1)
+    rep = validate_tableau(_tab("glChar", 2, [("0",)]))
+    assert not rep and rep.rule == "alphabet" and rep.cell == (1, 1)
+    short = Tableau("glChar", 2, (2,), ((entry_from_token("1"),),))
+    rep = validate_tableau(short)
+    assert not rep and rep.rule == "shape"
+    with pytest.raises(ShapeKindMismatch):
+        tableau_from_obj({"kind": "glChar", "shape": [2], "n": 2,
+                          "cells": [["1"]]})
 
 
 def _fillings(kind, n, shape):
@@ -377,7 +409,10 @@ def test_tableau_weight_rejects_invalid():
     ("soQ", (1,), 2),
     # first rows with two or more cells past the ones keyed for row 2
     ("glChar", (4, 1), 3), ("spChar", (4, 1), 2), ("soChar", (3, 1), 3),
-    ("glQ", (4, 1), 3), ("spQ", (4, 1), 2), ("soQ", (4, 1), 2)] + FLOOR_GRID)
+    ("glQ", (4, 1), 3), ("spQ", (4, 1), 2), ("soQ", (4, 1), 2)] + FLOOR_GRID + [
+    # lower rows with a row below them: their threshold keys are formed
+    # cell by cell along with their weights
+    ("glChar", (3, 2, 1), 4), ("glQ", (4, 2, 1), 3), ("soQ", (3, 2, 1), 3)])
 def test_weight_sum_matches_per_tableau_sum(kind, shape, n):
     vt = vartable_for(n, shape[0] if shape else 0)
     naive = MultiPoly.zero(vt)

@@ -9,7 +9,7 @@ from types import ModuleType
 import pytest
 
 import charq
-from charq import cli, lattice, verify
+from charq import characters, cli, lattice, verify
 from charq.algebra import MultiPoly, TruncatedSeries, vartable_for, xbar, xv
 from charq.lattice import Edge, Path, PathTuple
 from charq.tableaux import enumerate_tableaux
@@ -38,6 +38,27 @@ def test_suite_kind_filter():
     assert all(c.inputs["kind"] == "sp" for c in rep.cases)
     with pytest.raises(ValueError):
         suite_routes(kind="zz")
+
+
+def test_h_denominator_reports_a_wrong_weyl_factor(monkeypatch):
+    real = characters.ratio_factors
+
+    def negated(kind, vt, route):
+        scales, pairs = real(kind, vt, route)
+        if pairs:
+            key = next(iter(pairs))
+            pairs = {**pairs, key: -pairs[key]}
+        return scales, pairs
+
+    characters._ratio_denominator.cache_clear()
+    monkeypatch.setattr(characters, "ratio_factors", negated)
+    try:
+        rep = verify.suite_h_diff(n_max=2, m_max=0, kind="gl")
+    finally:
+        characters._ratio_denominator.cache_clear()
+    assert rep.failed == 1
+    assert rep.first_failure().inputs == {
+        "identity": "h-denominator", "kind": "gl", "n": 2}
 
 
 def test_lgv_pinned_shapes():
