@@ -995,18 +995,31 @@ def sorted_terms(p: MultiPoly):
     return [(unpack(m), terms[m]) for m in sorted(terms, reverse=True)]
 
 
-def _coeff_str(c) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}"
+def _named_terms(p: MultiPoly) -> list:
+    """(exponents, coefficient) per term in canonical order, as
+    ``sorted_terms`` orders them, with the exponents a dict of the nonzero
+    ones by variable name in table order: each key's fields are decoded
+    in one loop over the table's (name, shift) pairs."""
+    vt, terms = p.vt, p.terms
+    fields = tuple(zip(vt.names, vt.shifts))
+    out = []
+    for m in sorted(terms, reverse=True):
+        exps = {}
+        for name, s in fields:
+            e = ((m >> s) & _FIELD) - BIAS
+            if e:
+                exps[name] = e
+        out.append((exps, terms[m]))
+    return out
 
 
 def poly_to_obj(p: MultiPoly) -> dict:
-    vt = p.vt
-    terms = []
-    for mono, c in sorted_terms(p):
-        e = {vt.names[pos]: exp for pos, exp in enumerate(mono) if exp}
-        terms.append({"c": _coeff_str(c), "e": e})
-    return {"vars": list(vt.names), "terms": terms}
+    """Interchange object: the table's variable names, then per term in
+    canonical order its coefficient as "numerator/denominator" (an int c
+    as "c/1") and its nonzero exponents by name."""
+    terms = [{"c": f"{c.numerator}/{c.denominator}", "e": exps}
+             for exps, c in _named_terms(p)]
+    return {"vars": list(p.vt.names), "terms": terms}
 
 
 def poly_to_json(p: MultiPoly) -> str:
@@ -1045,16 +1058,10 @@ def poly_to_text(p: MultiPoly) -> str:
     with ' + ', leading term first."""
     if not p.terms:
         return "0"
-    vt = p.vt
     chunks = []
-    for mono, c in sorted_terms(p):
-        f = Fraction(c)
-        cs = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-        factors = [cs]
-        for pos, e in enumerate(mono):
-            if not e:
-                continue
-            name = vt.names[pos]
-            factors.append(name if e == 1 else f"{name}^{e}")
+    for exps, c in _named_terms(p):
+        # str of an int or Fraction: "3", "-1/2"
+        factors = [str(c)]
+        factors += [name if e == 1 else f"{name}^{e}" for name, e in exps.items()]
         chunks.append(" * ".join(factors))
     return " + ".join(chunks)

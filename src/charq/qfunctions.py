@@ -131,20 +131,24 @@ def prefactor(kind: str, i: int, j: int, vt: VarTable) -> MultiPoly:
 def q_determinantal(kind: str, lam, vt: VarTable) -> MultiPoly:
     """Sum over all strictly increasing diagonal supports d of the l x l
     determinant with (i, j) entry prefactor(d_i) * q_{lam_j - 1} at flag
-    d_i.  Row i depends on d_i alone, so each flag's row is built once.
-    Supports that contribute zero are still enumerated."""
+    d_i.  Row i is a multiple of prefactor(d_i), so by row multilinearity
+    each determinant is det[q_{lam_j - 1}(d_i)] times the prefactors of
+    its support: each flag's bare row is built once, and a support whose
+    bare determinant is zero adds nothing and skips its prefactor
+    products."""
     parts = _check_strict(kind, lam, vt)
     n = vt.n
     ell = len(parts)
     if ell == 0:
         return MultiPoly.one(vt)
-    rows = {}
-    for d in range(1, n + 1):
-        pref = prefactor(kind, d, d, vt)
-        rows[d] = [pref * q_md(kind, m - 1, d, vt) for m in parts]
+    rows = {d: [q_md(kind, m - 1, d, vt) for m in parts] for d in range(1, n + 1)}
     total = MultiPoly.zero(vt)
     for support in combinations(range(1, n + 1), ell):
-        total = total + determinant([rows[d] for d in support], vt=vt)
+        det = determinant([rows[d] for d in support], vt=vt)
+        if det:
+            for d in support:
+                det = det * prefactor(kind, d, d, vt)
+            total = total + det
     return total
 
 

@@ -868,6 +868,20 @@ def test_text_rendering():
     assert poly_to_text(MultiPoly.zero(VT)) == "0"
 
 
+def test_serialisation_of_fractions_negative_coefficients_and_inverses():
+    p = (monomial(VT, Fraction(-3, 4), {"x1": -2, "y2": 1, "a3": 2})
+         + monomial(VT, -5, {"x2": -1, "y1": -3})
+         + monomial(VT, Fraction(7, 2), {"t": 1}))
+    assert poly_to_obj(p) == {
+        "vars": list(VT.names),
+        "terms": [{"c": "7/2", "e": {"t": 1}},
+                  {"c": "-3/4", "e": {"x1": -2, "y2": 1, "a3": 2}},
+                  {"c": "-5/1", "e": {"x2": -1, "y1": -3}}]}
+    assert poly_to_text(p) == ("7/2 * t + -3/4 * x1^-2 * y2 * a3^2"
+                               " + -5 * x2^-1 * y1^-3")
+    assert poly_from_json(VT, poly_to_json(p)) == p
+
+
 def test_monomial_constructor_guards():
     assert monomial(VT, 0, {"x1": 1}).is_zero()
     with pytest.raises(ValueError):

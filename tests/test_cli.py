@@ -153,6 +153,31 @@ def test_tableaux_paths_bytes_pinned(capsys, kind, lam, n):
     assert digest == _PATH_DIGESTS[(kind, lam, n)]
 
 
+# SHA-256 of the stdout of `char`/`qfun` polynomial output: any change to
+# term order, coefficient or exponent formatting, or to a route's value,
+# shows here
+_POLY_OUTPUT_DIGESTS = {
+    ("qfun", "--kind", "soQ", "--n", "3", "--lambda", "3,2,1",
+     "--method", "tab,det"):
+        "014b42047752bab97738678cb5f18709d449d6f37e6e7615ccc35c665a0eb1eb",
+    ("qfun", "--kind", "soQ", "--n", "3", "--lambda", "3,2,1",
+     "--method", "tab,det", "--out", "text"):
+        "33f39e83f52103f2e114ad0ddd246087de0c64b8a1097a9e519299190671559a",
+    ("qfun", "--kind", "spQ", "--n", "3", "--lambda", "3,2,1", "--a", "zero",
+     "--out", "text"):
+        "36924892f326e7a242393e7e13a3441372479531bffddf1b5d9a8c3be3df237e",
+    ("char", "--kind", "sp", "--n", "3", "--lambda", "2,1"):
+        "c5e4de9943b106772d6bed3bafa3ea0fec65ea332ab6d110f96f4705b0043e9e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_POLY_OUTPUT_DIGESTS), ids=" ".join)
+def test_poly_output_bytes_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _POLY_OUTPUT_DIGESTS[argv]
+
+
 def _reference_lines(kind, parts, n):
     """The --paths stream as the compact dump of each tableau's and path
     tuple's reference objects."""

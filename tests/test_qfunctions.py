@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charq.algebra import (AIndexOutOfRange, MultiPoly, VarTableMismatch,
-                           add_a, at_a_zero, av, specialize, vartable,
-                           vartable_for, xbar, xv, ybar, yv)
+                           add_a, at_a_zero, av, determinant, specialize,
+                           vartable, vartable_for, xbar, xv, ybar, yv)
 from charq.characters import h_factorial
 from charq.partitions import enumerate_partitions
 from charq.qfunctions import (f_mpqn, prefactor, q_determinantal, q_md,
@@ -299,6 +299,32 @@ def test_routes_agree_under_two_keyed_cells_of_a_lower_row(kind):
     # per-tableau sum (57,344 spQ tableaux)
     vt = vartable_for(3, 4)
     assert q_tableaux(kind, (4, 3, 2), vt) == q_determinantal(kind, (4, 3, 2), vt)
+
+
+def _unfactored_determinantal(kind, parts, vt):
+    # the route as its definition reads: every row entry carries its
+    # flag's prefactor, and every support's determinant is expanded
+    total = MultiPoly.zero(vt)
+    for support in combinations(range(1, vt.n + 1), len(parts)):
+        rows = [[prefactor(kind, d, d, vt) * q_md(kind, m - 1, d, vt)
+                 for m in parts] for d in support]
+        total = total + determinant(rows, vt=vt)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
+def test_det_route_equals_the_unfactored_support_sum(kind):
+    # q_determinantal takes each flag's prefactor out of its row; that
+    # must give the sum of the determinants with the prefactors inside
+    cases = [(lam.parts, n) for n in (1, 2, 3)
+             for lam in enumerate_partitions(3, n, strict=True) if lam.parts]
+    if kind == "glQ":
+        cases.append(((4, 3, 2, 1), 4))
+    for parts, n in cases:
+        vt = vartable_for(n, parts[0])
+        assert q_determinantal(kind, parts, vt) == \
+            _unfactored_determinantal(kind, parts, vt), (kind, n, parts)
+    assert len(cases) == (17 if kind == "glQ" else 16)
 
 
 @pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
