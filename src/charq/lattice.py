@@ -25,8 +25,10 @@ the unit V weight is that constructor's constant 1.  The edge weights
 read their index k off the step's lattice position, not off the cell
 (``tableaux.cell_weight``), so that ``verify.suite_lgv``, which compares
 the two factor multisets, checks two independent statements of the
-weights; it multiplies both sides out only when the multisets differ,
-where the products decide exactly.
+weights; it compares weights and path signatures as small ints interned
+per case by value, and multiplies both sides out only when the
+multisets differ, where the products decide exactly.  Edges are named
+tuples, the cheapest immutable record to build per step.
 
 The JSON text of a path tuple and of one ``tableaux --paths`` line is laid
 out here and nowhere else: ``paths_line`` writes the compact
@@ -53,14 +55,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import MultiPoly, VarTable, linear_factor, poly_to_obj
 from .tableaux import Q_KINDS, Entry, Tableau, validate_tableau
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One path edge; endpoints are (row2, col) with row2 = twice the level."""
+class Edge(NamedTuple):
+    """One path edge; endpoints are (row2, col) with row2 = twice the level.
+    A tuple, so the walker's many edges cost one tuple each."""
 
     frm: tuple[int, int]
     to: tuple[int, int]

@@ -36,15 +36,40 @@ class ShapeKindMismatch(ValueError):
     """Shape is invalid for the requested tableau kind."""
 
 
-@dataclass(frozen=True)
+_LETTERS: dict[tuple[int, bool, bool, bool], "Entry"] = {}
+
+
 class Entry:
     """One alphabet letter: letter index k (0 for the zero letters),
-    barred/primed markers, and the zero flag."""
+    barred/primed markers, and the zero flag.
 
-    k: int
-    barred: bool = False
-    primed: bool = False
-    zero: bool = False
+    Letters are interned like ``VarTable``: ``Entry(k, barred, primed,
+    zero)`` returns the one letter for those values (flags normalised to
+    bool), so letters compare and hash by identity, at C speed, in every
+    rank lookup and row key.  Fields are set once; pickle and copy go
+    through the constructor and keep the interned object."""
+
+    __slots__ = ("k", "barred", "primed", "zero")
+
+    def __new__(cls, k: int, barred: bool = False, primed: bool = False,
+                zero: bool = False):
+        key = (k, bool(barred), bool(primed), bool(zero))
+        e = _LETTERS.get(key)
+        if e is None:
+            e = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(e, name, value)
+            _LETTERS[key] = e
+        return e
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"letters are immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"letters are immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Entry, (self.k, self.barred, self.primed, self.zero))
 
     @property
     def token(self) -> str:

@@ -320,9 +320,11 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
 
     Each case holds one row memo for ``tableau_to_paths``, so a row is
     walked once per case, and reads each distinct path's edge-weight
-    keys, non-unit weights, signature and D-step count once.  Every
-    tableau is still validated (by ``tableau_to_paths`` and
-    ``tableau_factors``) and checked in full."""
+    keys, non-unit weights, signature and D-step count once.  Weights
+    and path signatures are compared as small ints interned per case by
+    value (the unit weight is 0), so equal-valued copies match and the
+    multisets sort ints.  Every tableau is still validated (by
+    ``tableau_to_paths`` and ``tableau_factors``) and checked in full."""
     kinds = _kinds(ALL_KINDS, kind, "tableau")
     cases = []
     if shapes is not None:
@@ -344,32 +346,37 @@ def _lgv_case(kind, parts, n):
     # before vartable_for, which would call a negative part a bad a_max
     check_shape(kind, parts, n)
     vt = vartable_for(n, parts[0] if parts else 0)
-    unit = ((vt.zero, 1),)
     # tableaux share rows, so one row memo serves the case and a path
     # recurs as one object; cell and edge factors are shared values too
     # (algebra.linear_factor).  Each distinct weight and path is read
     # once, keyed by id; its entry holds the object, so the id cannot be
-    # reused while it is memoised.
+    # reused while it is memoised.  Weights and path signatures are
+    # interned to per-case ints by value; the unit weight's is 0, which
+    # the multisets leave out.
     rows = {}
     weights = {}
     paths = {}
+    weight_ids = {_term_key(MultiPoly.one(vt)): 0}
+    sig_ids = {}
 
     def key(w):
         hit = weights.get(id(w))
         if hit is None:
-            hit = weights[id(w)] = (w, _term_key(w))
+            tk = _term_key(w)
+            hit = weights[id(w)] = (w, weight_ids.setdefault(tk, len(weight_ids)))
         return hit[1]
 
     def path_data(p):
-        """(non-unit weight keys, injectivity signature, D steps)"""
+        """(non-unit weight ids, injectivity signature id, D steps)"""
         hit = paths.get(id(p))
         if hit is None:
             ws = [key(e.weight) for e in p.edges]
             # curved variants can share geometry (x_k vs y_k starts),
             # so the identity of a path includes its edge weights
+            sig = tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws))
             hit = paths[id(p)] = (p, (
-                [w for w in ws if w != unit],
-                tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws)),
+                [w for w in ws if w],
+                sig_ids.setdefault(sig, len(sig_ids)),
                 sum(1 for e in p.edges if e.kind == "D")))
         return hit[1]
 
@@ -382,7 +389,7 @@ def _lgv_case(kind, parts, n):
         if parts:
             factors = tableau_factors(t, vt)
             edge_ms = sorted(w for ws, _, _ in data for w in ws)
-            cell_ms = sorted(w for w in map(key, factors) if w != unit)
+            cell_ms = sorted(w for w in map(key, factors) if w)
             if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
                 return inputs, False, {"count": count, "reason": "weight mismatch"}
         if not pt.non_intersecting():

@@ -178,6 +178,25 @@ def test_poly_output_bytes_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _POLY_OUTPUT_DIGESTS[argv]
 
 
+# SHA-256 of the lattice-path suite's report over every family at n <= 3:
+# letters hash by address, and no verdict, count or line order may
+# depend on that
+_LGV_DIGESTS = {
+    ("verify", "--suite", "lgv", "--n-max", "3", "--lambda-max", "3"):
+        "c46c9e37c6d0197077160c1a53a8863b660cc55c582fbcb102c3c8952fc7cb18",
+    ("verify", "--suite", "lgv", "--n-max", "3", "--lambda-max", "3",
+     "--out", "text"):
+        "41d67fceea3735919ddaff2c64dc54b1780ed51776dda35a50ffe6469178a76a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_LGV_DIGESTS), ids=" ".join)
+def test_lgv_output_bytes_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _LGV_DIGESTS[argv]
+
+
 def _reference_lines(kind, parts, n):
     """The --paths stream as the compact dump of each tableau's and path
     tuple's reference objects."""

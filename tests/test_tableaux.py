@@ -1,6 +1,8 @@
 """Partitions, the six tableau families, weights, and the fused sum."""
 
+import copy
 import json
+import pickle
 from itertools import product
 
 import pytest
@@ -9,7 +11,7 @@ from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
 from charq.characters import char_flagged_jt
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
-from charq.tableaux import (ALL_KINDS, Q_KINDS, ShapeKindMismatch,
+from charq.tableaux import (ALL_KINDS, Q_KINDS, Entry, ShapeKindMismatch,
                             Tableau, alphabet, cell_weight, check_shape,
                             count_tableaux, entry_from_token, enumerate_tableaux,
                             tableau_from_obj, tableau_weight,
@@ -76,6 +78,35 @@ def test_entry_token_round_trip():
     for kind in ALL_KINDS:
         for e in alphabet(kind, 3):
             assert entry_from_token(e.token) == e
+
+
+def test_letters_are_interned():
+    # one object per (k, barred, primed, zero), so letters hash by identity
+    bar2 = Entry(2, barred=True)
+    assert bar2 is entry_from_token("2bar")
+    assert bar2 is alphabet("spChar", 2)[3]
+    one_bar = Entry(1, barred=1)
+    assert one_bar is Entry(1, barred=True) and one_bar.barred is True
+    # flags are normalised when a letter is first built, too
+    far = Entry(97, barred=1, primed=0)
+    assert far.barred is True and far.primed is False and far.zero is False
+    assert Entry(0, primed=True, zero=True) is alphabet("soQ", 2)[-1]
+    for e in (bar2, one_bar, alphabet("soQ", 1)[-1]):
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+
+def test_letters_are_immutable():
+    e = Entry(1)
+    for name in ("k", "barred", "primed", "zero"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, getattr(e, name))
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    with pytest.raises(AttributeError):
+        e.other = 1
+    assert (e.k, e.barred, e.primed, e.zero) == (1, False, False, False)
 
 
 # -- enumeration counts --------------------------------------------------------

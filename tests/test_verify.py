@@ -208,6 +208,49 @@ def test_lgv_reports_a_map_that_is_not_injective(monkeypatch):
     assert rep.cases[0].detail == {"count": 2, "reason": "not injective"}
 
 
+def test_lgv_compares_path_signatures_by_value(monkeypatch):
+    # every tableau is sent to fresh equal copies (new Path and Edge
+    # objects) of the first one's paths, with the first one's cell factors:
+    # the second tableau must still repeat the first, so a path's
+    # signature cannot be keyed by the path object
+    real_paths, real_factors = verify.tableau_to_paths, verify.tableau_factors
+    first = []
+
+    def copied(t, vt, *rest):
+        if not first:
+            first.append(t)
+        pt = real_paths(first[0], vt, *rest)
+        return replace(pt, paths=tuple(
+            Path(p.start, p.end, tuple(Edge(*e) for e in p.edges))
+            for p in pt.paths))
+
+    monkeypatch.setattr(verify, "tableau_to_paths", copied)
+    monkeypatch.setattr(verify, "tableau_factors",
+                        lambda t, vt: real_factors(first[0], vt))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 2, "reason": "not injective"}
+
+
+def test_lgv_leaves_out_a_unit_cell_factor_by_value(monkeypatch):
+    # a fresh 1 among the cell factors is dropped from the multiset as the
+    # unit V steps are, so the multisets still agree and no product is
+    # expanded
+    real = verify.tableau_factors
+    fresh = []
+
+    def with_unit(t, vt):
+        fresh.append(MultiPoly.one(vt))
+        return real(t, vt) + [fresh[-1]]
+
+    monkeypatch.setattr(verify, "tableau_factors", with_unit)
+    expanded = []
+    monkeypatch.setattr(PathTuple, "weight",
+                        lambda self: expanded.append(1))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 2), ("soQ", (2, 1), 2)])
+    assert rep.ok and expanded == []
+    assert len({id(u) for u in fresh}) == len(fresh) > 2
+
+
 def test_lgv_reports_diagonal_steps_off_the_zero_letters(monkeypatch):
     # the walker draws every H step as a D step between the same points
     # with the same weight: weights, disjointness and injectivity hold,
