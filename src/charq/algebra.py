@@ -988,18 +988,12 @@ def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly
 
 # -- canonical serialisation ---------------------------------------------
 
-def sorted_terms(p: MultiPoly):
-    """(exponent tuple, coefficient) pairs in canonical order: graded-lex,
-    leading term first, which is descending order of the packed keys."""
-    unpack, terms = p.vt.unpack, p.terms
-    return [(unpack(m), terms[m]) for m in sorted(terms, reverse=True)]
-
-
 def _named_terms(p: MultiPoly) -> list:
-    """(exponents, coefficient) per term in canonical order, as
-    ``sorted_terms`` orders them, with the exponents a dict of the nonzero
-    ones by variable name in table order: each key's fields are decoded
-    in one loop over the table's (name, shift) pairs."""
+    """(exponents, coefficient) per term in canonical order (graded-lex,
+    leading term first, which is descending order of the packed keys),
+    with the exponents a dict of the nonzero ones by variable name in
+    table order: each key's fields are decoded in one loop over the
+    table's (name, shift) pairs."""
     vt, terms = p.vt, p.terms
     fields = tuple(zip(vt.names, vt.shifts))
     out = []

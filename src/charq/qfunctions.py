@@ -198,7 +198,7 @@ def verify_tokuyama(kind: str, mu, vt: VarTable) -> TokuyamaReport:
     n = vt.n
     mu_parts = check_shape(TABLEAU_KIND[CHAR_KIND[kind]], mu, n)
     padded = mu_parts + (0,) * (n - len(mu_parts))
-    lam = tuple(padded[i] + (n - i) for i in range(n))
+    lam = tuple(m + d for m, d in zip(padded, staircase(n)))
     lhs = q_tableaux(kind, lam, vt)
     rhs = char_flagged_jt(CHAR_KIND[kind], mu_parts, vt)
     if kind == "soQ":

@@ -12,16 +12,21 @@ kind draws entries from its own ordered alphabet:
     spQ      1' < 1 < 1bar' < 1bar < ... < n' < n < nbar' < nbar
     soQ      spQ alphabet followed by 0'
 
-Filling rules, weights and the diagram geometry follow the conventions
-listed with each public function.  Everything here is exact: weights are
-MultiPoly values over a shared VarTable.
+Entries weakly increase along rows and down columns.  A marked letter (a
+primed letter in the Q families, the 0 of soChar) may not repeat in a
+row but may repeat in a column; every other letter does the reverse.
+Each family's rules are built once per rank n into one rule record of
+per-rank tables (_Rules), which enumeration, the fused weighted sum and
+validation all read.  Weights and the diagram geometry follow the
+conventions listed with each public function.  Everything here is exact:
+weights are MultiPoly values over a shared VarTable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (MultiPoly, VarTable, _add_products, _poly, _sum,
                       linear_factor)
@@ -86,37 +91,60 @@ class Entry:
         return self.token
 
 
-_ALPHABETS: dict[tuple[str, int], tuple[Entry, ...]] = {}
+class _Rules(NamedTuple):
+    """The filling rules of one family at rank n, by letter rank r.
+
+    By the marked rule (module docstring), a cell of rank r admits ranks
+    from ``right[r]`` = r + marked on its right and from ``below[r]`` =
+    r + 1 - marked below it.  ``lift[r]`` is the floor 4k that a diagonal
+    letter of group k puts under the diagonal of the row below in spQ/soQ
+    (Q5: 4k is the first rank of group k+1; 0 elsewhere).  ``starts``
+    holds the ranks that may begin a row: every rank but soQ's 0', the
+    last one, which Q6 keeps off the diagonal; it is a range from 0, so
+    ``starts[lo:]`` are those from lo up.  Row i holds no rank below
+    ``step * (i - 1)`` (T4: letters k and kbar stay in rows 1..k)."""
+
+    alpha: tuple[Entry, ...]
+    rank: dict[Entry, int]
+    right: tuple[int, ...]
+    below: tuple[int, ...]
+    lift: tuple[int, ...]
+    starts: range
+    step: int
 
 
-def alphabet(kind: str, n: int) -> tuple[Entry, ...]:
-    """The ordered alphabet of ``kind`` at rank n; index = rank in the order."""
-    key = (kind, n)
-    got = _ALPHABETS.get(key)
+_RULES: dict[tuple[str, int], _Rules] = {}
+
+
+def _rules(kind: str, n: int) -> _Rules:
+    """The rule record of ``kind`` at rank n (cached)."""
+    got = _RULES.get((kind, n))
     if got is not None:
         return got
     if kind not in ALL_KINDS:
         raise ValueError(f"unknown tableau kind {kind!r}")
+    qkind = kind in Q_KINDS
     bars = (False,) if kind.startswith("gl") else (False, True)
-    primes = (True, False) if kind in Q_KINDS else (False,)
+    primes = (True, False) if qkind else (False,)
     letters = [Entry(k, barred=b, primed=p)
                for k in range(1, n + 1) for b in bars for p in primes]
     if kind.startswith("so"):
-        letters.append(Entry(0, primed=kind in Q_KINDS, zero=True))
-    got = tuple(letters)
-    _ALPHABETS[key] = got
+        letters.append(Entry(0, primed=qkind, zero=True))
+    alpha = tuple(letters)
+    marked = [e.primed if qkind else e.zero for e in alpha]
+    got = _RULES[(kind, n)] = _Rules(
+        alpha, {e: r for r, e in enumerate(alpha)},
+        tuple(r + m for r, m in enumerate(marked)),
+        tuple(r + 1 - m for r, m in enumerate(marked)),
+        tuple(4 * e.k if kind in ("spQ", "soQ") else 0 for e in alpha),
+        range(len(alpha) - (kind == "soQ")),
+        2 if kind in ("spChar", "soChar") else 0)
     return got
 
 
-_RANKS: dict[tuple[str, int], dict[Entry, int]] = {}
-
-
-def _rank_map(kind: str, n: int) -> dict[Entry, int]:
-    """Letter -> rank in the alphabet of ``kind`` at rank n (cached)."""
-    got = _RANKS.get((kind, n))
-    if got is None:
-        got = _RANKS[(kind, n)] = {e: r for r, e in enumerate(alphabet(kind, n))}
-    return got
+def alphabet(kind: str, n: int) -> tuple[Entry, ...]:
+    """The ordered alphabet of ``kind`` at rank n; index = rank in the order."""
+    return _rules(kind, n).alpha
 
 
 def entry_from_token(token: str) -> Entry:
@@ -133,29 +161,6 @@ def entry_from_token(token: str) -> Entry:
             raise ValueError(f"bad entry token {token!r}")
         return Entry(0, primed=primed, zero=True)
     return Entry(k, barred=barred, primed=primed)
-
-
-def _row_repeat_ok(kind: str, e: Entry) -> bool:
-    """May this letter immediately repeat within a row?"""
-    if kind in CHAR_KINDS:
-        return not e.zero          # at most one 0 per row
-    return not e.primed            # no two identical primed letters in a row
-
-
-def _col_stack_ok(kind: str, e: Entry) -> bool:
-    """May this letter sit directly below an identical one?"""
-    if kind in CHAR_KINDS:
-        return e.zero              # only 0 escapes the column-distinctness rule
-    return e.primed                # only unprimed letters are column-distinct
-
-
-def _row_min_rank(kind: str, i: int) -> int:
-    """Smallest admissible rank in row i (letters k and kbar may not appear
-    below row k in the sp/so character families; this bound alone keeps
-    them out of generated rows)."""
-    if kind in ("spChar", "soChar"):
-        return 2 * (i - 1)
-    return 0
 
 
 _SHAPES: dict[tuple, tuple[int, ...]] = {}
@@ -251,10 +256,8 @@ def validate_tableau(t: Tableau) -> ValidationReport:
     rows = t.rows
     if tuple(map(len, rows)) != parts:
         return ValidationReport(False, "shape", None, "rows do not match shape")
-    rank_of = _rank_map(kind, t.n)
+    _, rank_of, right, below, lift, starts, step = _rules(kind, t.n)
     qkind = kind in Q_KINDS
-    spso_char = kind in ("spChar", "soChar")
-    spso_q = kind in ("spQ", "soQ")
     labels = _RULE_LABELS[kind]
     # the cell above row i's c-th cell is the (c+1)-th of the row above
     # in the shifted families, the c-th otherwise
@@ -263,6 +266,7 @@ def validate_tableau(t: Tableau) -> ValidationReport:
 
     for i, row in enumerate(rows, start=1):
         start = i if qkind else 1
+        low = step * (i - 1)
         ranks: list[int] = []
         for c, e in enumerate(row):
             j = start + c
@@ -270,31 +274,38 @@ def validate_tableau(t: Tableau) -> ValidationReport:
             if r is None:
                 return ValidationReport(False, "alphabet", (i, j),
                                         f"{e.token} not in the {kind} alphabet")
+            # right[lr] >= lr and below[ur] >= ur, so one test per neighbour
+            # passes a valid cell; a failing r less than the neighbour's rank
+            # breaks the weak rule, an equal one the repeat rule
             if c:
                 lr = ranks[-1]
-                if r < lr:
-                    return ValidationReport(False, labels["row_weak"], (i, j),
-                                            "entries must weakly increase across rows")
-                if r == lr and not _row_repeat_ok(kind, e):
+                if r < right[lr]:
+                    if r < lr:
+                        return ValidationReport(
+                            False, labels["row_weak"], (i, j),
+                            "entries must weakly increase across rows")
                     return ValidationReport(False, labels["row_repeat"], (i, j),
                                             f"{e.token} may not repeat within a row")
             u = c + up_shift
             if u < len(above):
                 ur = above[u]
-                if r < ur:
-                    return ValidationReport(False, labels["col_weak"], (i, j),
-                                            "entries must weakly increase down columns")
-                if r == ur and not _col_stack_ok(kind, e):
+                if r < below[ur]:
+                    if r < ur:
+                        return ValidationReport(
+                            False, labels["col_weak"], (i, j),
+                            "entries must weakly increase down columns")
                     return ValidationReport(False, labels["col_repeat"], (i, j),
                                             f"{e.token} may not repeat within a column")
-            if spso_char and not e.zero and e.k < i:
+            if r < low:
                 return ValidationReport(False, "T4", (i, j),
                                         f"{e.token} may not appear below row {e.k}")
             if qkind and c == 0:
-                if e.zero:
+                if r not in starts:
                     return ValidationReport(False, "Q6", (i, j),
                                             "0prime may not sit on the main diagonal")
-                if i > 1 and spso_q and rows[i - 2][0].k == e.k:
+                # the cell above this one already bounds r by the diagonal
+                # letter above, so only a letter of its group is under the lift
+                if i > 1 and r < lift[above[0]]:
                     return ValidationReport(
                         False, "Q5", (i, j),
                         f"two letters of group {e.k} on the main diagonal")
@@ -324,14 +335,15 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     if ell == 0:
         yield Tableau(kind, n, parts, ())
         return
-    alpha = alphabet(kind, n)
+    rules = _rules(kind, n)
+    alpha = rules.alpha
     rows: list[tuple[Entry, ...]] = [()] * ell
 
     def stack(i: int, above: tuple[int, ...]) -> Iterator[Tableau]:
         # every admissible row i under the row of ranks ``above``
         width = parts[i - 1]
-        for ranks in _row_ranks(kind, alpha, i, width,
-                                _floors(kind, alpha, above, width)):
+        for ranks in _row_ranks(rules, i, width,
+                                _floors(kind, rules, above, width)):
             rows[i - 1] = tuple(alpha[r] for r in ranks)
             if i == ell:
                 yield Tableau(kind, n, parts, tuple(rows))
@@ -341,57 +353,38 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     yield from stack(1, ())
 
 
-def _row_ranks(kind, alpha, i, width, floors):
+def _row_ranks(rules, i, width, floors):
     """Rank tuples of every admissible row i of the given width under the
-    row above, in lexicographic order: enumeration's row generator.  Ranks
-    start at the row's minimum and obey the row-repeat rule; cell c also
-    stays at or above ``floors[c]`` where the row above reaches (_floors,
-    which also carries the spQ/soQ diagonal-group rule; empty for row 1);
-    in the Q kinds the diagonal cell holds no zero letter."""
-    A = len(alpha)
-    lo = max(_row_min_rank(kind, i), floors[0] if floors else 0)
-    rows = [(r,) for r in _first_ranks(kind, alpha, lo)]
+    row above, in lexicographic order: enumeration's row generator.  The
+    row starts at a rank of ``rules.starts`` no lower than the row's
+    minimum, and each cell right of one of rank r at ``rules.right[r]``;
+    cell c also stays at or above ``floors[c]`` where the row above
+    reaches (_floors; empty for row 1)."""
+    A = len(rules.alpha)
+    right = rules.right
+    lo = max(rules.step * (i - 1), floors[0] if floors else 0)
+    rows = [(r,) for r in rules.starts[lo:]]
     for c in range(1, width):
         floor = floors[c] if c < len(floors) else 0
         nxt = []
         for row in rows:
-            lo = max(_next_lo(kind, alpha, row[-1]), floor)
-            nxt += [row + (r,) for r in range(lo, A)]
+            nxt += [row + (r,) for r in range(max(right[row[-1]], floor), A)]
         rows = nxt
     return rows
 
 
-def _first_ranks(kind, alpha, lo):
-    """Ranks from lo up that may start a row (lo: the row's minimum,
-    raised in enumeration to the floor under the row above): in the Q
-    kinds the diagonal cell holds no zero letter (Q6)."""
-    if kind not in Q_KINDS:
-        return range(lo, len(alpha))
-    return [r for r in range(lo, len(alpha)) if not alpha[r].zero]
-
-
-def _next_lo(kind, alpha, last):
-    """Lowest rank of the cell right of one of rank ``last``."""
-    return last if _row_repeat_ok(kind, alpha[last]) else last + 1
-
-
-def _floor_of(kind, alpha, r):
-    """Lowest rank of the cell right below one of rank r."""
-    return r if _col_stack_ok(kind, alpha[r]) else r + 1
-
-
-def _floors(kind, alpha, above, width):
+def _floors(kind, rules, above, width):
     """Lowest admissible rank of each cell of a row of the given width
     under the row of ranks ``above``, for the cells that have a cell
-    above them (shifted rows align one step over).  In spQ/soQ no two
-    diagonal letters share a group (Q5); the diagonal letter below
-    already reaches the group k of the one above through the cell above
-    it, so Q5 is one more floor, 4k (the first rank of group k+1; 0'
-    never sits on the diagonal), binding the whole weakly increasing
-    row.  Under group n that floor (len(alpha) in spQ) leaves no row."""
+    above them (shifted rows align one step over): ``rules.below`` of
+    the cell above, raised to the Q5 lift of the diagonal letter above.
+    The diagonal letter below already reaches the group k of the one
+    above through the cell above it, so the lift binds the whole weakly
+    increasing row.  Under group n the lift (len(alpha) in spQ) leaves
+    no row."""
     src = above[1:1 + width] if kind in Q_KINDS else above[:width]
-    lift = 4 * alpha[above[0]].k if kind in ("spQ", "soQ") and above else 0
-    return tuple(max(_floor_of(kind, alpha, r), lift) for r in src)
+    lift = rules.lift[above[0]] if above else 0
+    return tuple(max(rules.below[r], lift) for r in src)
 
 
 def count_tableaux(kind: str, shape, n: int) -> int:
@@ -452,35 +445,36 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # Summing tableau_weight over enumerate_tableaux is correct but revisits
 # shared row prefixes once per tableau.  The sum factorises row by row:
 # the rules coupling row i+1 to row i come down to one lower bound per
-# cell of row i+1, a function of row i alone (_floors: the entry directly
-# above, and in spQ/soQ the diagonal-group bound of Q5).  So we sweep
-# rows top to bottom.  Each content r of row i has weight w(r); its
-# product with the sum of weights of all fillings of rows 1..i-1 that
-# admit r goes straight into the bucket of the threshold vector r imposes
-# on row i+1, or into the total on the last row.  The buckets are
-# prefix-summed and row i+1 reads each of its contents' sums off with one
-# lookup.  Thresholds and contents both weakly increase, so the prefix
-# sums run over weakly increasing keys up to the largest content, last
-# coordinate first.  That is exact: once coordinates d+1.. are summed and
-# those before d fixed, a key whose coordinate d drops below coordinate
-# d-1 could only hold a threshold vector that does not weakly increase,
-# so it is absent and reads as zero.  A threshold may reach len(alpha)
-# (spQ under a diagonal letter of group n); that bucket is seeded and
-# never read.  test_tableaux pins this against the naive per-tableau sum.
+# cell of row i+1, a function of row i alone (_floors: ``below`` of the
+# entry directly above in the family's rule record, raised in spQ/soQ to
+# the Q5 ``lift`` of the diagonal letter).  So we sweep rows top to
+# bottom.  Each content r of row i has weight w(r); its product with the
+# sum of weights of all fillings of rows 1..i-1 that admit r goes
+# straight into the bucket of the threshold vector r imposes on row i+1,
+# or into the total on the last row.  The buckets are prefix-summed and
+# row i+1 reads each of its contents' sums off with one lookup.
+# Thresholds and contents both weakly increase, so the prefix sums run
+# over weakly increasing keys up to the largest content, last coordinate
+# first.  That is exact: once coordinates d+1.. are summed and those
+# before d fixed, a key whose coordinate d drops below coordinate d-1
+# could only hold a threshold vector that does not weakly increase, so
+# it is absent and reads as zero.  A threshold may reach len(alpha) (spQ
+# under a diagonal letter of group n); that bucket is seeded and never
+# read.  test_tableaux pins this against the naive per-tableau sum.
 #
 # Every row is weighed cell by cell (_row_sums; a transfer-matrix sum,
-# Stanley, EC1 4.7).  Cell c extends each state by every letter the row
-# rules admit after its last one, times that letter's weight in cell
-# (i, start + c); on the cells with a cell of row i+1 below them the
-# state's key gains the letter's floor, raised to the key's last
-# coordinate, or for the first one to the Q5 bound of the diagonal
-# letter, so the finished key is the row's _floors vector.  Row 1 has
-# nothing above it, so its states keep only the last rank and drop it on
-# the last cell: states that agree merge, every prefix reaching a state
-# shares its dict, and what is left is the bucket table ({(): total} for
-# a one-row shape).  A lower row reads its sum from above at its whole
-# content, so its states keep the content and do not merge; their
-# weights are the shared prefix products.
+# Stanley, EC1 4.7).  Cell c extends each state by every rank from the
+# record's ``right`` of its last one (from ``starts`` on the first
+# cell), times that letter's weight in cell (i, start + c); on the cells
+# with a cell of row i+1 below them the state's key gains the letter's
+# ``below``, raised to the key's last coordinate, or for the first one
+# to the ``lift`` of the diagonal letter, so the finished key is the
+# row's _floors vector.  Row 1 has nothing above it, so its states keep
+# only the last rank and drop it on the last cell: states that agree
+# merge, every prefix reaching a state shares its dict, and what is left
+# is the bucket table ({(): total} for a one-row shape).  A lower row
+# reads its sum from above at its whole content, so its states keep the
+# content and do not merge; their weights are the shared prefix products.
 #
 # Every sum is a term dict; no polynomial is built per product.  Products
 # accumulate through algebra._add_products, which checks each finished
@@ -491,20 +485,18 @@ def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:
 # written after it is stored.
 
 
-def _row_sums(kind, alpha, n, i, width, below, vt):
+def _row_sums(kind, rules, n, i, width, next_width, vt):
     """Row i's weights, cell by cell, as {(ranks kept, threshold key on a
-    row i+1 of width ``below`` (_floors)): term dict}.  Row 1 keeps no
-    rank once the row is complete, so its contents merge into one sum per
-    key ({((), ()): total} for a one-row shape); a lower row keeps its
+    row i+1 of width ``next_width`` (_floors)): term dict}.  Row 1 keeps
+    no rank once the row is complete, so its contents merge into one sum
+    per key ({((), ()): total} for a one-row shape); a lower row keeps its
     whole content.  A key may reach len(alpha) (see _floors)."""
+    alpha, right, below, lift = rules.alpha, rules.right, rules.below, rules.lift
     A = len(alpha)
     qkind = kind in Q_KINDS
-    floor = [_floor_of(kind, alpha, r) for r in range(A)]
-    # Q5 (see _floors): the least floor on row i+1 under each diagonal letter
-    lift = {r: 4 * e.k for r, e in enumerate(alpha)} if kind in ("spQ", "soQ") else {}
-    first = _first_ranks(kind, alpha, _row_min_rank(kind, i))
-    # the cells with a cell of row i+1 below them: 1..below in a shifted row
-    keyed = range(qkind, qkind + below)
+    first = rules.starts[rules.step * (i - 1):]
+    # the cells with a cell of row i+1 below them: 1..next_width in a shifted row
+    keyed = range(qkind, qkind + next_width)
     start = i if qkind else 1
     states = {((), ()): MultiPoly.one(vt).terms}
     for c in range(width):
@@ -515,12 +507,12 @@ def _row_sums(kind, alpha, n, i, width, below, vt):
         out: dict[tuple, list] = {}
         for (ranks, key), acc in states.items():
             last = ranks[-1] if ranks else None
-            nxt = first if last is None else range(_next_lo(kind, alpha, last), A)
+            nxt = first if last is None else range(right[last], A)
             # keys weakly increase; the first coordinate carries the lift
-            lo = key[-1] if key else lift.get(last, 0)
+            lo = key[-1] if key else lift[last] if ranks else 0
             head = ranks if i > 1 else ()
             for r in nxt:
-                k = key + (max(floor[r], lo),) if c in keyed else key
+                k = key + (max(below[r], lo),) if c in keyed else key
                 out.setdefault((head + (r,) if keep else (), k), []).append(
                     (w[r], acc, 1))
         states = {s: _add_products(vt, {}, prods) for s, prods in out.items()}
@@ -534,14 +526,14 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
     parts = check_shape(kind, shape, n)
     if len(parts) == 0:
         return MultiPoly.one(vt)
-    alpha = alphabet(kind, n)
+    rules = _rules(kind, n)
     widths = parts + (0,)
     table = {key: acc for (_, key), acc in
-             _row_sums(kind, alpha, n, 1, parts[0], widths[1], vt).items()}
+             _row_sums(kind, rules, n, 1, parts[0], widths[1], vt).items()}
     for i in range(2, len(parts) + 1):
         width = parts[i - 1]
         # prefix sums; lexicographic order updates key - e_d before key
-        keys = list(combinations_with_replacement(range(len(alpha)), width))
+        keys = list(combinations_with_replacement(range(len(rules.alpha)), width))
         for d in reversed(range(width)):
             for key in keys:
                 if key[d]:
@@ -552,7 +544,7 @@ def tableau_weight_sum(kind: str, shape, n: int, vt: VarTable) -> MultiPoly:
         # the products w * acc of row i, by the bucket they go into: the
         # threshold vector on row i+1, which is () on the last row (the total)
         buckets: dict[tuple, list] = {}
-        for (ranks, th), w in _row_sums(kind, alpha, n, i, width, widths[i], vt).items():
+        for (ranks, th), w in _row_sums(kind, rules, n, i, width, widths[i], vt).items():
             acc = table.get(ranks)
             if acc:
                 buckets.setdefault(th, []).append((w, acc, 1))

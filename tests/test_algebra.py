@@ -19,7 +19,7 @@ from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            exact_div, factorial_power, linear_factor, monomial,
                            permute_variables, poly_from_json, poly_from_obj,
                            poly_to_json, poly_to_obj, poly_to_text,
-                           sorted_terms, specialize, vartable, vartable_for,
+                           specialize, vartable, vartable_for,
                            xbar, xv, ybar, yv)
 from charq.lattice import _edge_weight
 from charq.tableaux import Entry, alphabet, cell_weight, tableau_weight_sum
@@ -31,6 +31,11 @@ VT = vartable(3, 4)
 
 def _x(i, e=1):
     return MultiPoly.var_at(VT, VT.x_pos(i), e)
+
+
+def sorted_terms(p):
+    """(exponent tuple, coefficient) pairs, descending by packed key."""
+    return [(p.vt.unpack(m), p.terms[m]) for m in sorted(p.terms, reverse=True)]
 
 
 # -- strategies ---------------------------------------------------------------
@@ -331,6 +336,13 @@ def test_determinant_alternating(entries, r1, r2):
         assert d1 == -d2
 
 
+def test_determinant_refuses_mixed_tables():
+    other = vartable(1, 1)
+    with pytest.raises(VarTableMismatch, match="different variable tables"):
+        determinant([[MultiPoly.one(VT), xv(VT, 1)],
+                     [MultiPoly.one(other), xv(VT, 2)]])
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=4, max_value=5), st.data())
 def test_bareiss_matches_cofactor(k, data):
@@ -480,6 +492,13 @@ def test_factorial_power_at_zero_parameters_is_power():
 def test_factorial_power_index_guard():
     with pytest.raises(AIndexOutOfRange):
         factorial_power(VT, 1, VT.a_max + 1)
+
+
+def test_negative_orders_and_powers_are_refused():
+    with pytest.raises(ValueError, match="needs m >= 0"):
+        factorial_power(VT, 1, -1)
+    with pytest.raises(ValueError, match="nonnegative integer powers"):
+        xv(VT, 1) ** -1
 
 
 # -- series ---------------------------------------------------------------------
@@ -745,6 +764,13 @@ def test_specialize_binding_contains_variable():
         specialize(xv(VT, 1), {"x1": xv(VT, 1) + MultiPoly.one(VT)})
 
 
+def test_specialize_refuses_unknown_names_and_foreign_tables():
+    with pytest.raises(VarTableMismatch, match="unknown variable 'zz'"):
+        specialize(xv(VT, 1), {"zz": MultiPoly.one(VT)})
+    with pytest.raises(VarTableMismatch, match="different variable table"):
+        specialize(xv(VT, 1), {"x1": MultiPoly.one(vartable(1, 1))})
+
+
 def test_specialize_polynomial_binding():
     p = _x(1, 2)
     got = specialize(p, {"x1": xv(VT, 2) + xv(VT, 3)})
@@ -813,6 +839,14 @@ def test_negative_exponent_off_x_y_refused_when_packing(name):
     assert permute_variables(xbar(vt, 1), {"x1": "y1", "y1": "x1"}) == ybar(vt, 1)
 
 
+def test_permute_variables_refuses_unknown_and_non_injective_maps():
+    p = xv(VT, 1)
+    with pytest.raises(VarTableMismatch, match="unknown variable"):
+        permute_variables(p, {"zz": "x1"})
+    with pytest.raises(ValueError, match="must be injective"):
+        permute_variables(p, {"x1": "x2"})
+
+
 # -- serialisation -----------------------------------------------------------------
 
 
@@ -855,6 +889,15 @@ def test_poly_from_obj_refuses_a_repeated_monomial():
     obj["terms"][0]["e"] = {}
     with pytest.raises(ValueError, match="listed twice"):
         poly_from_obj(vt, obj)
+
+
+def test_poly_from_obj_refuses_foreign_variables():
+    vt = vartable(1, 0)
+    with pytest.raises(VarTableMismatch, match="variable list does not match"):
+        poly_from_obj(vt, {"vars": ["q"], "terms": []})
+    with pytest.raises(VarTableMismatch, match="unknown variable 'zz'"):
+        poly_from_obj(vt, {"vars": list(vt.names),
+                           "terms": [{"c": "1/1", "e": {"zz": 1}}]})
 
 
 def test_json_bytes_stable():

@@ -71,6 +71,13 @@ def test_h_one_var_so_matches_ratio_form():
         assert h_one_var("so", m, 1, vt) == exact_div(num, den)
 
 
+def test_flag_and_order_guards():
+    with pytest.raises(ValueError, match="flag d=3 out of range 1..2"):
+        h_factorial("gl", 1, 3, vartable_for(2, 1))
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        one_part_expansion("gl", -1, vartable_for(2, 1))
+
+
 # -- route examples ------------------------------------------------------------
 
 

@@ -18,6 +18,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_tableaux_unknown_kind_exits_2(capsys):
+    code, out, err = run(capsys, "tableaux", "--kind", "zz", "--n", "2",
+                         "--lambda", "1")
+    assert code == 2 and out == ""
+    assert "--kind must be one of" in err
+
+
+def test_tableaux_text_of_the_empty_shape(capsys):
+    code, out, _ = run(capsys, "tableaux", "--kind", "glChar", "--n", "2",
+                       "--lambda", "", "--out", "text")
+    assert code == 0 and out == "(empty)\n"
+
+
 def test_char_jt_zero_parameters(capsys):
     code, out, _ = run(capsys, "char", "--kind", "gl", "--n", "2",
                        "--lambda", "1", "--method", "jt", "--a", "zero",

@@ -124,6 +124,12 @@ def test_json_halves_and_edge_schema():
     assert isinstance(edge["w"], dict) and "terms" in edge["w"]
 
 
+def test_empty_path_tuple_has_no_weight():
+    pt = tableau_to_paths(Tableau("glQ", 2, (), ()), vartable_for(2, 0))
+    with pytest.raises(ValueError, match="no ring to weigh in"):
+        pt.weight()
+
+
 GRID = [
     ("glChar", (2, 1), 2), ("spChar", (2, 1), 2), ("soChar", (2, 1), 2),
     ("glQ", (2, 1), 2), ("spQ", (2, 1), 2), ("soQ", (2, 1), 2),

@@ -1,6 +1,7 @@
 """Partitions, the six tableau families, weights, and the fused sum."""
 
 import copy
+import hashlib
 import json
 import pickle
 from itertools import product
@@ -42,6 +43,17 @@ def test_enumerate_partitions_examples():
     assert got == [(), (1,), (2,), (2, 1)]
 
 
+def test_partition_bounds_and_parts_are_refused():
+    with pytest.raises(ValueError, match="n_bound must be positive"):
+        Partition((1,), 0)
+    with pytest.raises(ValueError, match="parts must be nonnegative"):
+        Partition((1, -1), 3)
+    with pytest.raises(ValueError, match="strict partitions have positive parts"):
+        StrictPartition((2, -1), 3)
+    with pytest.raises(ValueError, match="max_part must be >= 0"):
+        list(enumerate_partitions(-1, 2))
+
+
 def test_enumerate_partitions_count_against_brute_force():
     got = [p.parts for p in enumerate_partitions(3, 3)]
     # independent oracle: plain triple loop over ordered part values
@@ -78,6 +90,15 @@ def test_entry_token_round_trip():
     for kind in ALL_KINDS:
         for e in alphabet(kind, 3):
             assert entry_from_token(e.token) == e
+
+
+def test_unknown_kind_and_bad_tokens_are_refused():
+    with pytest.raises(ValueError, match="unknown tableau kind 'zz'"):
+        alphabet("zz", 2)
+    with pytest.raises(ValueError, match="unknown tableau kind 'zz'"):
+        check_shape("zz", (1,), 2)
+    with pytest.raises(ValueError, match="bad entry token '0bar'"):
+        entry_from_token("0bar")
 
 
 def test_letters_are_interned():
@@ -306,6 +327,38 @@ def test_validate_matches_oracle_on_every_filling(kind):
                 checked += 1
                 rejected += not want
     assert 0 < rejected < checked
+
+
+def test_enumeration_output_pinned():
+    # every tableau of every shape with parts <= 3 at n <= 3, in order
+    h, count = hashlib.sha256(), 0
+    for kind in ALL_KINDS:
+        for n in (1, 2, 3):
+            for lam in enumerate_partitions(3, n, strict=kind in Q_KINDS):
+                for t in enumerate_tableaux(kind, lam.parts, n):
+                    h.update((json.dumps(t.to_obj(), separators=(",", ":"))
+                              + "\n").encode())
+                    count += 1
+    assert count == 41154
+    assert h.hexdigest() == \
+        "3b863ef64b6e1c48377c20fe1dbecba17c38698c2d0d5ecb6a9d29851929af82"
+
+
+def test_validation_reports_pinned():
+    # the rule, cell and message of every filling of <= 4 cells at n <= 2
+    h, count = hashlib.sha256(), 0
+    for kind in ALL_KINDS:
+        for n in (1, 2):
+            for lam in enumerate_partitions(3, n, strict=kind in Q_KINDS):
+                if lam.size > 4:
+                    continue
+                for rows in _fillings(kind, n, lam.parts):
+                    r = validate_tableau(Tableau(kind, n, lam.parts, rows))
+                    h.update(repr((r.ok, r.rule, r.cell, r.message)).encode())
+                    count += 1
+    assert count == 16315
+    assert h.hexdigest() == \
+        "aaeefac45d4fbd079f718063271aef44fbe897d2a60a6eca0cff61bc756a848f"
 
 
 # -- weights ------------------------------------------------------------------

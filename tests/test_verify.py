@@ -33,6 +33,11 @@ def test_run_suite_dispatch_error():
         run_suite("nope")
 
 
+def test_a_passing_report_has_no_first_failure():
+    good = CaseResult(0, {"k": 1}, True)
+    assert SuiteReport("demo", [good]).first_failure() is None
+
+
 def test_suite_kind_filter():
     rep = suite_routes(n_max=1, lambda_max=1, kind="sp")
     assert all(c.inputs["kind"] == "sp" for c in rep.cases)
