@@ -25,10 +25,18 @@ the unit V weight is that constructor's constant 1.  The edge weights
 read their index k off the step's lattice position, not off the cell
 (``tableaux.cell_weight``), so that ``verify.suite_lgv``, which compares
 the two factor multisets, checks two independent statements of the
-weights; it compares weights and path signatures as small ints interned
-per case by value, and multiplies both sides out only when the
-multisets differ, where the products decide exactly.  Edges are named
-tuples, the cheapest immutable record to build per step.
+weights.  Path i carries the factors of row i, so the suite compares
+them row by row, once per distinct (row index, row, path), as small
+ints interned per case by value; it falls back to the whole tableau's
+multisets when a row differs, and multiplies both sides out only when
+those differ too, where the products decide exactly.  The suite also
+checks each distinct path's geometry once, with ``is_lattice_path``:
+its edges chain from start to end, H, V and D are unit steps, C steps
+run from column 0 to column 1, and the path ends on the bottom level.
+Edges are named tuples, the cheapest immutable record to build per
+step; the walker builds its ``Path`` and ``PathTuple`` records straight
+into their instance dicts (``_path``, ``_path_tuple``), skipping the
+frozen dataclass ``__init__`` but giving the same records.
 
 The JSON text of a path tuple and of one ``tableaux --paths`` line is laid
 out here and nowhere else: ``paths_line`` writes the compact
@@ -46,9 +54,11 @@ Row paths are memoised the same way.  Path i depends on nothing but
 passes, under that key, and draws only the rows it lacks; it validates
 every tableau before any lookup.  Each memo lives as long as its caller
 keeps it: one ``tableaux`` command (``paths_line`` shares the text memo)
-or one ``verify.suite_lgv`` case.  Nothing is cached at module level: a
-module cache would outlive a changed ``_edge_weight`` and serve paths
-weighed by the old one, so a call without a memo draws every row afresh.
+or one ``verify.suite_lgv`` case, which also passes a memo of each
+path's vertices to ``PathTuple.non_intersecting``.  Nothing is cached at
+module level: a module cache would outlive a changed ``_edge_weight``
+and serve paths weighed by the old one, so a call without a memo draws
+every row afresh.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import MultiPoly, VarTable, linear_factor, poly_to_obj
-from .tableaux import Q_KINDS, Entry, Tableau, validate_tableau
+from .tableaux import Q_KINDS, Entry, Tableau, require_valid
 
 
 class Edge(NamedTuple):
@@ -154,18 +164,75 @@ class PathTuple:
             raise ValueError("empty path tuple has no ring to weigh in")
         return out
 
-    def non_intersecting(self) -> bool:
-        """No two paths share a lattice vertex (integer levels only; the
-        half-integer sp/so start points are all distinct by construction)."""
+    def non_intersecting(self, memo: dict | None = None) -> bool:
+        """No two paths share a lattice vertex, and no path meets itself
+        (integer levels only; the half-integer sp/so start points are all
+        distinct by construction).  Each path's integer-level vertices are
+        listed once and kept in ``memo`` (held by the caller) under its id,
+        with the path, so the id stays its own; without a memo every path
+        is listed afresh."""
+        if memo is None:
+            memo = {}
         seen: set[tuple[int, int]] = set()
+        count = 0
         for p in self.paths:
-            for v in p.vertices():
-                if v[0] % 2:
-                    continue
-                if v in seen:
-                    return False
-                seen.add(v)
-        return True
+            hit = memo.get(id(p))
+            if hit is None:
+                hit = memo[id(p)] = (p, [v for v in p.vertices() if not v[0] % 2])
+            seen.update(hit[1])
+            count += len(hit[1])
+        return len(seen) == count
+
+
+_new = object.__new__
+
+
+def _path(start: tuple[int, int], end: tuple[int, int],
+          edges: tuple[Edge, ...]) -> Path:
+    """``Path(start, end, edges)`` without the frozen dataclass's
+    ``__init__`` (the fields go straight into the instance dict, as in
+    ``tableaux._tableau``); the walker builds its records with this and
+    ``_path_tuple``."""
+    p = _new(Path)
+    d = p.__dict__
+    d["start"] = start
+    d["end"] = end
+    d["edges"] = edges
+    return p
+
+
+def _path_tuple(kind: str, n: int, shape: tuple[int, ...],
+                paths: tuple[Path, ...]) -> PathTuple:
+    """``PathTuple(kind, n, shape, paths)``, built as ``_path`` builds a path."""
+    pt = _new(PathTuple)
+    d = pt.__dict__
+    d["kind"] = kind
+    d["n"] = n
+    d["shape"] = shape
+    d["paths"] = paths
+    return pt
+
+
+# (row2, col) change of each step type but C, whose rise is free
+_STEPS = {"H": (0, 1), "V": (2, 0), "D": (2, 1)}
+
+
+def is_lattice_path(kind: str, n: int, p: Path) -> bool:
+    """Whether ``p`` is a path of the kind's lattice: its edges chain from
+    ``p.start`` to ``p.end``, each H, V and D edge is a unit step
+    ((row2, col) changes by (0, 1), (2, 0) and (2, 1)), each C edge runs
+    from column 0 to column 1, and the path ends on the bottom level."""
+    at = p.start
+    for frm, to, step, _ in p.edges:
+        if frm != at:
+            return False
+        if step == "C":
+            if frm[1] != 0 or to[1] != 1:
+                return False
+        elif _STEPS.get(step) != (to[0] - frm[0], to[1] - frm[1]):
+            return False
+        at = to
+    return at == p.end and at[0] == 2 * _n_levels(kind, n)
 
 
 def _level(kind: str, e: Entry, n: int) -> int:
@@ -233,9 +300,7 @@ def tableau_to_paths(t: Tableau, vt: VarTable,
     and drawn only when missing; equal rows at the same index give the
     same object.  The tableau is validated on every call, before any
     lookup.  Without a memo a fresh dict is used, and every row is drawn."""
-    report = validate_tableau(t)
-    if not report:
-        raise ValueError(f"invalid tableau: {report.rule} at {report.cell}")
+    require_valid(t)
     if memo is None:
         memo = {}
     kind, n = t.kind, t.n
@@ -247,7 +312,7 @@ def tableau_to_paths(t: Tableau, vt: VarTable,
         if path is None:
             path = memo[key] = _row_path(kind, n, i, row, vt)
         paths.append(path)
-    return PathTuple(kind, n, t.shape, tuple(paths))
+    return _path_tuple(kind, n, t.shape, tuple(paths))
 
 
 def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
@@ -276,7 +341,7 @@ def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
         level, col = lv, col + 1
     bottom = _n_levels(kind, n)
     _drop(edges, level, col, bottom, one)
-    return Path(start, (2 * bottom, col), tuple(edges))
+    return _path(start, (2 * bottom, col), tuple(edges))
 
 
 def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:

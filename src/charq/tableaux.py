@@ -224,6 +224,24 @@ class Tableau:
                 "cells": [[e.token for e in row] for row in self.rows]}
 
 
+_new = object.__new__
+
+
+def _tableau(kind: str, n: int, shape: tuple[int, ...],
+             rows: tuple[tuple[Entry, ...], ...]) -> Tableau:
+    """``Tableau(kind, n, shape, rows)`` without the frozen dataclass's
+    ``__init__``: the fields go straight into the instance dict, as the
+    generated ``__init__`` would put them, so equality, hashing,
+    ``dataclasses.replace`` and the refusal to assign are unchanged."""
+    t = _new(Tableau)
+    d = t.__dict__
+    d["kind"] = kind
+    d["n"] = n
+    d["shape"] = shape
+    d["rows"] = rows
+    return t
+
+
 def tableau_from_obj(obj: dict) -> Tableau:
     kind = obj["kind"]
     n = int(obj["n"])
@@ -248,9 +266,14 @@ class ValidationReport:
         return self.ok
 
 
+# every valid tableau gets this one report; each failure builds its own
+_VALID = ValidationReport(True)
+
+
 def validate_tableau(t: Tableau) -> ValidationReport:
     """Check every filling rule of t's kind; on failure report the first
-    violated rule (scanning cells row-major, local rules first)."""
+    violated rule (scanning cells row-major, local rules first).  A valid
+    tableau gets one shared report, ``ValidationReport(True)``."""
     kind = t.kind
     parts = check_shape(kind, t.shape, t.n)
     rows = t.rows
@@ -311,7 +334,15 @@ def validate_tableau(t: Tableau) -> ValidationReport:
                         f"two letters of group {e.k} on the main diagonal")
             ranks.append(r)
         above = ranks
-    return ValidationReport(True)
+    return _VALID
+
+
+def require_valid(t: Tableau) -> None:
+    """ValueError naming the first filling rule t breaks, if any."""
+    report = validate_tableau(t)
+    if not report:
+        raise ValueError(f"invalid tableau: {report.rule} at {report.cell}: "
+                         f"{report.message}")
 
 
 _RULE_LABELS = {
@@ -333,7 +364,7 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
     parts = check_shape(kind, shape, n)
     ell = len(parts)
     if ell == 0:
-        yield Tableau(kind, n, parts, ())
+        yield _tableau(kind, n, parts, ())
         return
     rules = _rules(kind, n)
     alpha = rules.alpha
@@ -344,9 +375,9 @@ def enumerate_tableaux(kind: str, shape, n: int) -> Iterator[Tableau]:
         width = parts[i - 1]
         for ranks in _row_ranks(rules, i, width,
                                 _floors(kind, rules, above, width)):
-            rows[i - 1] = tuple(alpha[r] for r in ranks)
+            rows[i - 1] = tuple(map(alpha.__getitem__, ranks))
             if i == ell:
-                yield Tableau(kind, n, parts, tuple(rows))
+                yield _tableau(kind, n, parts, tuple(rows))
             else:
                 yield from stack(i + 1, ranks)
 
@@ -421,15 +452,23 @@ def cell_weight(vt: VarTable, kind: str, n: int, e: Entry, i: int, j: int) -> Mu
     return linear_factor(vt, vt.x_pos(e.k), exp, off, 1)
 
 
+def row_factors(kind: str, n: int, i: int, row: tuple[Entry, ...],
+                vt: VarTable) -> list[MultiPoly]:
+    """Cell weights of row i of a tableau whose row i is ``row``, left to
+    right; they depend on nothing else (row i starts in column i in the
+    shifted families, in column 1 otherwise)."""
+    start = i if kind in Q_KINDS else 1
+    return [cell_weight(vt, kind, n, e, i, j)
+            for j, e in enumerate(row, start=start)]
+
+
 def tableau_factors(t: Tableau, vt: VarTable) -> list[MultiPoly]:
-    """Cell weights of a valid tableau in row-major order (ValueError if
-    t breaks a filling rule)."""
-    report = validate_tableau(t)
-    if not report:
-        raise ValueError(f"invalid tableau: {report.rule} at {report.cell}: "
-                         f"{report.message}")
+    """Cell weights of a valid tableau in row-major order, row by row
+    (``row_factors``); ValueError if t breaks a filling rule."""
+    require_valid(t)
     kind, n = t.kind, t.n
-    return [cell_weight(vt, kind, n, e, i, j) for (i, j), e in t.cells()]
+    return [f for i, row in enumerate(t.rows, start=1)
+            for f in row_factors(kind, n, i, row, vt)]
 
 
 def tableau_weight(t: Tableau, vt: VarTable) -> MultiPoly:

@@ -13,20 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import mul
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .algebra import (AlgebraError, MultiPoly, add_a, vartable_for, xbar, xv,
                       ybar, yv)
 from .characters import (CHAR_ROUTES, GROUP_KINDS, _ratio_denominator,
                          h_factorial, h_range, one_part_expansion,
                          weyl_factor)
-from .lattice import tableau_to_paths
+# row_factors is read off the module when called, so the row check and
+# its fallback, tableau_factors, always weigh the same cell side
+from . import tableaux
+from .lattice import Path, is_lattice_path, tableau_to_paths
 from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
                          q_determinantal, q_md, q_tableaux, qtilde,
                          shift_a_down, verify_tokuyama)
 from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, check_shape,
-                       enumerate_tableaux, tableau_factors)
+                       enumerate_tableaux, require_valid, tableau_factors)
 
 
 @dataclass
@@ -307,24 +311,33 @@ def _qtilde_recursion_case(n, r, s, m):
 def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
               shapes=None, size_max: int | None = None) -> SuiteReport:
     """Per-family checks of the tableau-to-path map: edge-weight products
-    reproduce tableau weights, images are pairwise vertex-disjoint, and
-    the map is injective.  ``shapes`` may pin an explicit list of
-    (kind, parts, n); otherwise the grid runs over partitions with parts
-    <= lambda_max (optionally |shape| <= size_max).
+    reproduce tableau weights, images are pairwise vertex-disjoint, the
+    map is injective, character-side D steps sit on the zero letters, and
+    every image is a path of the lattice (``lattice.is_lattice_path``:
+    edges chained from start to end by unit H, V and D steps, C steps
+    from column 0 to 1, ending on the bottom level).  ``shapes`` may pin
+    an explicit list of (kind, parts, n); otherwise the grid runs over
+    partitions with parts <= lambda_max (optionally |shape| <= size_max).
+    A failing case reports the first failing check in that order:
+    weight mismatch, paths intersect, not injective, diagonal steps, not
+    a lattice path.
 
-    Both weights are products of linear factors, so the weight check
-    first compares the sorted multiset of non-unit edge weights with that
-    of the cell weights; equal multisets have equal products.  Only when
-    the multisets differ are both products expanded, and then the
-    products decide, so the verdict is exactly product equality.
-
-    Each case holds one row memo for ``tableau_to_paths``, so a row is
-    walked once per case, and reads each distinct path's edge-weight
-    keys, non-unit weights, signature and D-step count once.  Weights
-    and path signatures are compared as small ints interned per case by
-    value (the unit weight is 0), so equal-valued copies match and the
-    multisets sort ints.  Every tableau is still validated (by
-    ``tableau_to_paths`` and ``tableau_factors``) and checked in full."""
+    Both weights are products of linear factors, so equal sorted
+    multisets of non-unit factors have equal products.  Path i and the
+    cell weights of row i depend only on (row index, row), so each case
+    compares them row by row: once per distinct (row index, row, path)
+    it holds the row's sorted non-unit cell-weight ids
+    (``tableaux.row_factors``) against the path's sorted non-unit
+    edge-weight ids, and reads the path's signature, D steps and
+    geometry.  A tableau whose rows all match passes the weight check.
+    If a row does not, the whole tableau's multisets are compared (rows
+    may trade factors and still agree), and only when those differ are
+    both products expanded, so the verdict is exactly product equality.
+    Weights and path signatures are compared as small ints interned per
+    case by value (the unit weight is 0), so equal-valued copies match
+    and the multisets sort ints.  Every tableau is still validated on
+    both sides (by ``tableau_to_paths``, and for the cell side here) and
+    checked for disjointness and injectivity as a whole."""
     kinds = _kinds(ALL_KINDS, kind, "tableau")
     cases = []
     if shapes is not None:
@@ -348,62 +361,108 @@ def _lgv_case(kind, parts, n):
     vt = vartable_for(n, parts[0] if parts else 0)
     # tableaux share rows, so one row memo serves the case and a path
     # recurs as one object; cell and edge factors are shared values too
-    # (algebra.linear_factor).  Each distinct weight and path is read
-    # once, keyed by id; its entry holds the object, so the id cannot be
-    # reused while it is memoised.  Weights and path signatures are
-    # interned to per-case ints by value; the unit weight's is 0, which
-    # the multisets leave out.
+    # (algebra.linear_factor).  Each distinct weight is keyed once by id
+    # (``held`` keeps it, so the id cannot be reused), and each distinct
+    # (row index, row, path) is checked once, into ``checked``, whose
+    # entry holds its path: the row's cell-weight ids against the path's
+    # edge-weight ids, the path's signature id, its D steps against the
+    # row's zero letters, and its geometry.  Weights and path signatures
+    # are interned to per-case ints by value; the unit weight's is 0,
+    # which the multisets leave out.  ``vertices`` lists each path's
+    # vertices once for ``non_intersecting``.
     rows = {}
     weights = {}
-    paths = {}
+    held = []
+    checked = {}
     weight_ids = {_term_key(MultiPoly.one(vt)): 0}
     sig_ids = {}
+    ell = len(parts)
+    # the character kinds draw a path for every row up to n, empty ones too
+    pad = () if kind in Q_KINDS else ((),) * (n - ell)
+    index = range(1, n + 1)
 
     def key(w):
         hit = weights.get(id(w))
         if hit is None:
             tk = _term_key(w)
-            hit = weights[id(w)] = (w, weight_ids.setdefault(tk, len(weight_ids)))
-        return hit[1]
+            hit = weights[id(w)] = weight_ids.setdefault(tk, len(weight_ids))
+            held.append(w)
+        return hit
 
-    def path_data(p):
-        """(non-unit weight ids, injectivity signature id, D steps)"""
-        hit = paths.get(id(p))
-        if hit is None:
-            ws = [key(e.weight) for e in p.edges]
-            # curved variants can share geometry (x_k vs y_k starts),
-            # so the identity of a path includes its edge weights
-            sig = tuple((e.frm, e.to, e.kind, w) for e, w in zip(p.edges, ws))
-            hit = paths[id(p)] = (p, (
-                [w for w in ws if w],
-                sig_ids.setdefault(sig, len(sig_ids)),
-                sum(1 for e in p.edges if e.kind == "D")))
-        return hit[1]
+    def ids(ws):
+        """The weight ids of the list ``ws``; mostly plain lookups."""
+        got = [weights.get(id(w)) for w in ws]
+        return got if None not in got else list(map(key, ws))
+
+    def check(i, row, p):
+        """Row i's verdicts against its path p, kept in ``checked``."""
+        ws = ids(list(map(_WEIGHT, p.edges)))
+        edges = sorted(filter(None, ws))
+        cells = sorted(filter(None, ids(tableaux.row_factors(kind, n, i, row, vt))))
+        # curved variants can share geometry (x_k vs y_k starts),
+        # so the identity of a path includes its edge weights
+        sig = (tuple(map(_GEOMETRY, p.edges)), tuple(ws))
+        # a character row steps diagonally once per zero letter, at most once
+        diagonal = kind not in CHAR_KINDS or i > ell or (
+            (d := list(map(_KIND, p.edges)).count("D")) == sum(e.zero for e in row)
+            and d <= 1)
+        geometry = is_lattice_path(kind, n, p)
+        weight = edges == cells
+        hit = checked[(i, row, id(p))] = _RowCheck(
+            weight and diagonal and geometry,
+            sig_ids.setdefault(sig, len(sig_ids)),
+            edges, weight, diagonal, geometry, p)
+        return hit
 
     seen = set()
+    vertices = {}
     count = 0
     for t in enumerate_tableaux(kind, parts, n):
         count += 1
         pt = tableau_to_paths(t, vt, rows)
-        data = [path_data(p) for p in pt.paths]
         if parts:
+            # the cell side validates on its own, as tableau_factors does
+            require_valid(t)
+        data = [checked.get((i, row, id(p))) or check(i, row, p)
+                for i, row, p in zip(index, t.rows + pad, pt.paths)]
+        ok = all([r.ok for r in data])
+        if not ok and parts and not all(r.weight for r in data):
+            # rows that differ may still make up equal tableau multisets,
+            # and different multisets equal products
             factors = tableau_factors(t, vt)
-            edge_ms = sorted(w for ws, _, _ in data for w in ws)
-            cell_ms = sorted(w for w in map(key, factors) if w)
+            edge_ms = sorted(w for r in data for w in r.edges)
+            cell_ms = sorted(filter(None, ids(factors)))
             if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
                 return inputs, False, {"count": count, "reason": "weight mismatch"}
-        if not pt.non_intersecting():
+        if not pt.non_intersecting(vertices):
             return inputs, False, {"count": count, "reason": "paths intersect"}
-        sig = tuple(s for _, s, _ in data)
+        sig = tuple([r.sig for r in data])
         if sig in seen:
             return inputs, False, {"count": count, "reason": "not injective"}
         seen.add(sig)
-        if kind in CHAR_KINDS:
-            for (_, _, diag_steps), row in zip(data, t.rows):
-                zeros = sum(1 for e in row if e.zero)
-                if diag_steps != zeros or diag_steps > 1:
-                    return inputs, False, {"count": count, "reason": "diagonal steps"}
+        if not ok:
+            if not all(r.diagonal for r in data):
+                return inputs, False, {"count": count, "reason": "diagonal steps"}
+            if not all(r.geometry for r in data):
+                return inputs, False, {"count": count, "reason": "not a lattice path"}
     return inputs, True, {"count": count}
+
+
+_GEOMETRY = itemgetter(0, 1, 2)  # an edge's (frm, to, kind)
+_KIND = itemgetter(2)
+_WEIGHT = itemgetter(3)
+
+
+class _RowCheck(NamedTuple):
+    """One row's verdicts against its path in ``_lgv_case``."""
+
+    ok: bool            # weight, diagonal and geometry all hold
+    sig: int            # the path's signature id
+    edges: list[int]    # the path's sorted non-unit edge-weight ids
+    weight: bool        # they equal the row's sorted non-unit cell-weight ids
+    diagonal: bool      # D steps: one per zero letter, at most one (character kinds)
+    geometry: bool      # the path is a lattice path (lattice.is_lattice_path)
+    path: Path          # held, so its id in the key stays its own
 
 
 def _term_key(p: MultiPoly) -> tuple:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from charq import characters, lattice, verify
+from charq import characters, lattice, tableaux, verify
 from charq.algebra import MultiPoly, vartable_for
 from charq.cli import main
 from charq.partitions import enumerate_partitions
@@ -320,9 +320,11 @@ def test_verify_all(capsys):
 def test_identity_failures_exit_3(capsys, monkeypatch):
     # a constant 2 in front of every tableau's cell factors breaks the
     # lattice-path weight check
-    real = verify.tableau_factors
-    monkeypatch.setattr(verify, "tableau_factors",
-                        lambda t, vt: [MultiPoly.const(vt, 2)] + real(t, vt))
+    real = tableaux.row_factors
+    monkeypatch.setattr(tableaux, "row_factors",
+                        lambda kind, n, i, row, vt:
+                        [MultiPoly.const(vt, 2)] * (i == 1)
+                        + real(kind, n, i, row, vt))
     argv = ("verify", "--suite", "lgv", "--kind", "glChar", "--n", "2",
             "--lambda", "2,1")
     code, out, err = run(capsys, *argv)

@@ -1,11 +1,13 @@
 """Tableau-to-path maps: figure geometry, weight preservation, disjointness."""
 
 import json
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from charq.algebra import MultiPoly, av, vartable_for, xv, yv
-from charq.lattice import Edge, tableau_to_paths
+from charq.partitions import enumerate_partitions
+from charq.lattice import Edge, Path, PathTuple, is_lattice_path, tableau_to_paths
 from charq.tableaux import (ALL_KINDS, CHAR_KINDS, Tableau,
                             entry_from_token, enumerate_tableaux,
                             tableau_weight)
@@ -235,3 +237,80 @@ def test_row_memo_still_rejects_an_invalid_tableau():
                for i, row in enumerate(bad.rows, start=1))
     with pytest.raises(ValueError):
         tableau_to_paths(bad, vt, memo)
+
+
+def _hash_or_error(rec):
+    # a record holding edges is unhashable: its weights are polynomials
+    try:
+        return hash(rec)
+    except TypeError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_walked_paths_are_the_constructors_records(kind):
+    # the walker builds Path and PathTuple without the dataclass __init__
+    vt = vartable_for(3, 2)
+    for t in enumerate_tableaux(kind, (2, 1), 3):
+        pt = tableau_to_paths(t, vt)
+        qt = PathTuple(pt.kind, pt.n, pt.shape,
+                       tuple(Path(p.start, p.end, p.edges) for p in pt.paths))
+        assert type(pt) is PathTuple and vars(pt) == vars(qt) and pt == qt
+        assert _hash_or_error(pt) == _hash_or_error(qt)
+        assert replace(pt) == qt and replace(pt, n=4) == replace(qt, n=4)
+        for p, q in zip(pt.paths, qt.paths):
+            assert type(p) is Path and vars(p) == vars(q) and p == q
+            assert _hash_or_error(p) == _hash_or_error(q)
+            assert replace(p, end=(0, 0)) == replace(q, end=(0, 0))
+        for rec in (pt, qt, pt.paths[0], qt.paths[0]):
+            name = fields(rec)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(rec, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(rec, name)
+    # a path without edges hashes, like one from the constructor
+    bare = tableau_to_paths(_tab("glChar", 2, [("1",)]), vartable_for(2, 1)).paths[1]
+    assert not bare.edges and hash(bare) == hash(Path(bare.start, bare.end, ()))
+
+
+def _steps(*points_and_kinds):
+    """Path from its points and the step kinds between them (weights 1)."""
+    one = MultiPoly.one(vartable_for(2, 1))
+    pts, kinds = points_and_kinds[::2], points_and_kinds[1::2]
+    return Path(pts[0], pts[-1], tuple(Edge(a, b, k, one)
+                                       for a, b, k in zip(pts, pts[1:], kinds)))
+
+
+# on the glChar lattice at n = 2 the bottom level is 2, so row2 = 4
+@pytest.mark.parametrize("path,ok", [
+    (_steps((2, 1), "H", (2, 2), "V", (4, 2)), True),
+    (_steps((2, 1), "D", (4, 2)), True),
+    (_steps((3, 0), "C", (2, 1), "V", (4, 1)), True),
+    (_steps((0, 1), "V", (2, 1), "V", (4, 1)), True),
+    (_steps((2, 1), "H", (2, 3), "V", (4, 3)), False),   # H two columns
+    (_steps((0, 1), "V", (4, 1)), False),                # V two levels
+    (_steps((2, 1), "D", (4, 3)), False),                # D two columns
+    (_steps((2, 1), "H", (4, 2)), False),                # H that drops
+    (_steps((3, 1), "C", (2, 2), "V", (4, 2)), False),   # C off column 0
+    (_steps((2, 1), "X", (2, 2), "V", (4, 2)), False),   # no such step
+    (_steps((2, 1), "H", (2, 2)), False),                # ends above the bottom
+    (Path((2, 1), (4, 2), _steps((2, 1), "H", (2, 2), "V", (4, 2)).edges[1:]),
+     False),                                             # starts off its edges
+    (Path((2, 1), (4, 7), _steps((2, 1), "H", (2, 2), "V", (4, 2)).edges),
+     False),                                             # ends off its edges
+    (Path((2, 1), (4, 2), _steps((2, 1), "H", (2, 2), "V", (4, 2)).edges[::-1]),
+     False),                                             # edges out of order
+])
+def test_is_lattice_path_checks_chain_steps_and_bottom(path, ok):
+    assert is_lattice_path("glChar", 2, path) is ok
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_walked_path_is_a_lattice_path(kind):
+    # the lgv suite checks this over the criterion-6 grid as well
+    for n in (1, 2, 3):
+        vt = vartable_for(n, 2)
+        for lam in enumerate_partitions(2, n, strict=kind not in CHAR_KINDS):
+            for t in enumerate_tableaux(kind, lam.parts, n):
+                for p in tableau_to_paths(t, vt).paths:
+                    assert is_lattice_path(kind, n, p), (t.rows, p)

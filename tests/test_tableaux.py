@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
@@ -280,6 +281,32 @@ def test_q_rule_violations():
     assert not rep and rep.rule == "Q6"
     # primed entries may stack in a column
     assert validate_tableau(_tab("glQ", 3, [("1", "2prime"), ("2prime",)]))
+
+
+def test_valid_reports_are_shared_and_invalid_ones_their_own():
+    reports = [validate_tableau(t) for t in enumerate_tableaux("spQ", (2, 1), 2)]
+    assert len(reports) > 1 and all(r is reports[0] for r in reports)
+    valid = reports[0]
+    assert valid and valid.ok and valid.rule is None and valid.cell is None
+    weak = validate_tableau(_tab("glChar", 2, [("2", "1")]))
+    repeat = validate_tableau(_tab("glChar", 2, [("1",), ("1",)]))
+    assert not weak and (weak.rule, weak.cell) == ("T1", (1, 2))
+    assert not repeat and (repeat.rule, repeat.cell) == ("T3", (2, 1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_enumerated_tableaux_are_the_constructors_records(kind):
+    # enumeration builds its records without the dataclass __init__
+    for t in enumerate_tableaux(kind, (2, 1), 2):
+        u = Tableau(t.kind, t.n, t.shape, t.rows)
+        assert type(t) is Tableau and vars(t) == vars(u)
+        assert t == u and hash(t) == hash(u) and repr(t) == repr(u)
+        assert replace(t) == u and replace(t, n=3) == replace(u, n=3)
+        for rec in (t, u):
+            with pytest.raises(FrozenInstanceError):
+                rec.n = 3
+            with pytest.raises(FrozenInstanceError):
+                del rec.rows
 
 
 def test_row_decrease_is_flagged():

@@ -9,7 +9,7 @@ from types import ModuleType
 import pytest
 
 import charq
-from charq import characters, cli, lattice, verify
+from charq import characters, cli, lattice, tableaux, verify
 from charq.algebra import MultiPoly, TruncatedSeries, vartable_for, xbar, xv
 from charq.lattice import Edge, Path, PathTuple
 from charq.tableaux import enumerate_tableaux
@@ -74,14 +74,18 @@ def test_lgv_pinned_shapes():
 
 def _patch_factors(monkeypatch, change):
     """Make suite_lgv see the first cell factor of every tableau rewritten
-    by ``change`` (a function from one factor to a list of factors)."""
-    real = verify.tableau_factors
+    by ``change`` (a function from one factor to a list of factors): the
+    first factor of row 1, in the row check and in ``tableau_factors``."""
+    real = tableaux.row_factors
 
-    def patched(t, vt):
-        first, *rest = real(t, vt)
+    def patched(kind, n, i, row, vt):
+        factors = real(kind, n, i, row, vt)
+        if i > 1:
+            return factors
+        first, *rest = factors
         return change(first, vt) + rest
 
-    monkeypatch.setattr(verify, "tableau_factors", patched)
+    monkeypatch.setattr(tableaux, "row_factors", patched)
 
 
 def test_lgv_reports_a_corrupted_factor(monkeypatch):
@@ -103,6 +107,72 @@ def test_lgv_split_factor_passes_through_exact_fallback(monkeypatch):
     rep = suite_lgv(shapes=[("glChar", (2, 1), 3), ("glQ", (2, 1), 2)])
     assert rep.ok and [c.detail["count"] for c in rep.cases] == [8, 8]
     assert len(expanded) == 8 + 8
+
+
+@pytest.mark.parametrize("kind", ["glChar", "soQ"])
+def test_lgv_reports_a_corrupted_factor_in_the_last_row(monkeypatch, kind):
+    # only the last cell of row 2, the last row of (2, 1), weighs wrong:
+    # a lower row's own check must see it
+    real = tableaux.row_factors
+
+    def patched(kind, n, i, row, vt):
+        factors = real(kind, n, i, row, vt)
+        return factors[:-1] + [factors[-1] + 1] if i == 2 else factors
+
+    monkeypatch.setattr(tableaux, "row_factors", patched)
+    rep = suite_lgv(shapes=[(kind, (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "weight mismatch"}
+
+
+def test_lgv_passes_a_factor_moved_between_rows_without_expanding(monkeypatch):
+    # row 1's last factor is handed to row 2: neither row matches its
+    # path, but each tableau's multiset does, so no product is expanded
+    # (tableau_factors weighs row 1 before row 2, so the factor row 2
+    # gets there is its own tableau's)
+    real = tableaux.row_factors
+    moved = []
+
+    def patched(kind, n, i, row, vt):
+        factors = real(kind, n, i, row, vt)
+        if i == 1:
+            moved[:] = factors[-1:]
+            return factors[:-1]
+        return factors + moved if i == 2 else factors
+
+    monkeypatch.setattr(tableaux, "row_factors", patched)
+    expanded = []
+    monkeypatch.setattr(PathTuple, "weight",
+                        lambda self: expanded.append(1))
+    rep = suite_lgv(shapes=[("glChar", (2, 1), 3), ("soQ", (2, 1), 2)])
+    assert rep.ok and expanded == []
+    assert all(c.detail["count"] > 1 for c in rep.cases)
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
+                                  "glQ", "spQ", "soQ"])
+def test_lgv_reports_paths_without_their_vertical_steps(monkeypatch, kind):
+    # with no V steps a path jumps levels between its edges and stops
+    # above the bottom level; the V steps weigh 1, so the weights, the
+    # vertex check, injectivity and the diagonal steps all still hold
+    monkeypatch.setattr(lattice, "_drop", lambda *args: None)
+    rep = suite_lgv(shapes=[(kind, (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "not a lattice path"}
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
+                                  "glQ", "spQ", "soQ"])
+def test_lgv_reports_a_path_that_ends_off_its_last_edge(monkeypatch, kind):
+    # every path's end moves 5 columns right; its edges, and so its
+    # weights, vertices and signature, are kept
+    def moved(pt):
+        return replace(pt, paths=tuple(
+            Path(p.start, (p.end[0], p.end[1] + 5), p.edges) for p in pt.paths))
+
+    real = verify.tableau_to_paths
+    monkeypatch.setattr(verify, "tableau_to_paths",
+                        lambda t, vt, *memo: moved(real(t, vt, *memo)))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "not a lattice path"}
 
 
 @pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
@@ -240,14 +310,14 @@ def test_lgv_leaves_out_a_unit_cell_factor_by_value(monkeypatch):
     # a fresh 1 among the cell factors is dropped from the multiset as the
     # unit V steps are, so the multisets still agree and no product is
     # expanded
-    real = verify.tableau_factors
+    real = tableaux.row_factors
     fresh = []
 
-    def with_unit(t, vt):
+    def with_unit(kind, n, i, row, vt):
         fresh.append(MultiPoly.one(vt))
-        return real(t, vt) + [fresh[-1]]
+        return real(kind, n, i, row, vt) + [fresh[-1]]
 
-    monkeypatch.setattr(verify, "tableau_factors", with_unit)
+    monkeypatch.setattr(tableaux, "row_factors", with_unit)
     expanded = []
     monkeypatch.setattr(PathTuple, "weight",
                         lambda self: expanded.append(1))
