@@ -785,16 +785,27 @@ def specialize(p: MultiPoly, bindings: dict[str, MultiPoly]) -> MultiPoly:
 
 
 def at_a_zero(p: MultiPoly) -> MultiPoly:
-    """p with every a_k set to 0: its a-free terms, rebuilt over the table
-    with a_max = 0 (same rank), so no a token is left anywhere."""
+    """p with every a_k set to 0: its a-free terms, relabelled over the
+    table with a_max = 0 (same rank), so no a token is left anywhere.
+
+    One pass over the packed keys, as in ``a_shifted_down``: a term is
+    a-free exactly when its a-block equals ``vt.zero``'s under one mask.
+    Its new key is its degree, x and y fields shifted down past the
+    a-block, with its t field kept in place.  An a-free term keeps its
+    degree and every field it keeps is copied verbatim, so no key leaves
+    the range, and the map is injective on the terms kept."""
     vt = p.vt
-    lo, hi = 2 * vt.n, 2 * vt.n + vt.a_max
+    if not vt.a_max:
+        return p
+    # the a-block spans the fields of a_max (just above t) up to a_1
+    a_bits = WIDTH * vt.a_max
+    a_mask = ((1 << a_bits) - 1) << WIDTH
+    a_zero = vt.zero & a_mask
     out = {}
     for key, c in p.terms.items():
-        mono = vt.unpack(key)
-        if not any(mono[lo:hi]):
-            out[mono[:lo] + (mono[vt.t_pos],)] = c
-    return MultiPoly(vartable(vt.n, 0), out)
+        if key & a_mask == a_zero:
+            out[((key >> a_bits) & ~_FIELD) | (key & _FIELD)] = c
+    return _poly(vartable(vt.n, 0), out)
 
 
 def a_shifted_down(p: MultiPoly) -> MultiPoly:
@@ -988,12 +999,13 @@ def gf_coeff(m: int, geometric, linear, a_limit: int, vt: VarTable) -> MultiPoly
 
 # -- canonical serialisation ---------------------------------------------
 
-def _named_terms(p: MultiPoly) -> list:
-    """(exponents, coefficient) per term in canonical order (graded-lex,
-    leading term first, which is descending order of the packed keys),
-    with the exponents a dict of the nonzero ones by variable name in
-    table order: each key's fields are decoded in one loop over the
-    table's (name, shift) pairs."""
+def poly_to_obj(p: MultiPoly) -> dict:
+    """Interchange object: the table's variable names, then per term in
+    canonical order (graded-lex, leading term first, which is descending
+    order of the packed keys) its coefficient as "numerator/denominator"
+    (an int c as "c/1") and its nonzero exponents by name, in table
+    order.  Each key's fields are decoded in one loop over the table's
+    (name, shift) pairs."""
     vt, terms = p.vt, p.terms
     fields = tuple(zip(vt.names, vt.shifts))
     out = []
@@ -1003,21 +1015,85 @@ def _named_terms(p: MultiPoly) -> list:
             e = ((m >> s) & _FIELD) - BIAS
             if e:
                 exps[name] = e
-        out.append((exps, terms[m]))
+        c = terms[m]
+        out.append({"c": f"{c.numerator}/{c.denominator}", "e": exps})
+    return {"vars": list(vt.names), "terms": out}
+
+
+def _term_texts(p: MultiPoly, item, sep: str) -> list:
+    """(coefficient, exponent text) per term of ``p`` in canonical order,
+    the exponent text being ``sep`` joining ``item(name, e)`` over the
+    term's nonzero exponents in table order ("" for none).  The one
+    decoder behind ``poly_to_json`` and ``poly_to_text``.
+
+    Each key is split into its x part, its y part and its a/t part (the
+    degree field is dropped: it follows from the exponents), and each
+    distinct part is decoded once per call, in memos local to the call.
+    The terms of one value share few distinct parts of each kind (the
+    x/y pair is nearly always distinct, its halves are not), so most
+    terms cost three dict lookups and one concatenation.  Each part's
+    text carries ``sep`` before every item, so the term's text is the
+    three concatenated, less the first ``sep``."""
+    vt, terms = p.vt, p.terms
+    n = vt.n
+    low = WIDTH * (vt.size - 2 * n)    # the a- and t-fields
+    y_bits = WIDTH * n
+    half_mask = (1 << y_bits) - 1
+    at_mask = (1 << low) - 1
+    names, shifts = vt.names, vt.shifts
+    x_fields = [(names[i], shifts[i] - low - y_bits) for i in range(n)]
+    y_fields = [(names[i], shifts[i] - low) for i in range(n, 2 * n)]
+    at_fields = [(names[i], shifts[i]) for i in range(2 * n, vt.size)]
+    cut = len(sep)
+
+    def decode(part: int, fields) -> str:
+        items = []
+        for name, s in fields:
+            e = ((part >> s) & _FIELD) - BIAS
+            if e:
+                items.append(sep + item(name, e))
+        return "".join(items)
+
+    x_memo: dict[int, str] = {}
+    y_memo: dict[int, str] = {}
+    at_memo: dict[int, str] = {}
+    out = []
+    for m in sorted(terms, reverse=True):
+        xy = m >> low
+        x = (xy >> y_bits) & half_mask
+        x_text = x_memo.get(x)
+        if x_text is None:
+            x_text = x_memo[x] = decode(x, x_fields)
+        y = xy & half_mask
+        y_text = y_memo.get(y)
+        if y_text is None:
+            y_text = y_memo[y] = decode(y, y_fields)
+        at = m & at_mask
+        at_text = at_memo.get(at)
+        if at_text is None:
+            at_text = at_memo[at] = decode(at, at_fields)
+        out.append((terms[m], (x_text + y_text + at_text)[cut:]))
     return out
 
 
-def poly_to_obj(p: MultiPoly) -> dict:
-    """Interchange object: the table's variable names, then per term in
-    canonical order its coefficient as "numerator/denominator" (an int c
-    as "c/1") and its nonzero exponents by name."""
-    terms = [{"c": f"{c.numerator}/{c.denominator}", "e": exps}
-             for exps, c in _named_terms(p)]
-    return {"vars": list(p.vt.names), "terms": terms}
+def _json_item(name: str, e: int) -> str:
+    # variable names are x<i>, y<i>, a<k> and t: nothing to escape
+    return f'"{name}":{e}'
+
+
+def _text_item(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
 
 
 def poly_to_json(p: MultiPoly) -> str:
-    return json.dumps(poly_to_obj(p), separators=(",", ":"))
+    """Compact JSON of the interchange object: exactly
+    ``json.dumps(poly_to_obj(p), separators=(",", ":"))``, written
+    directly from the texts of ``_term_texts`` without building the
+    object."""
+    terms = ",".join([f'{{"c":"{c.numerator}/{c.denominator}","e":{{{e}}}}}'
+                      for c, e in _term_texts(p, _json_item, ",")])
+    names = ",".join(f'"{name}"' for name in p.vt.names)
+    return f'{{"vars":[{names}],"terms":[{terms}]}}'
 
 
 def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
@@ -1049,13 +1125,9 @@ def poly_from_json(vt: VarTable, text: str) -> MultiPoly:
 
 def poly_to_text(p: MultiPoly) -> str:
     """Human-readable canonical rendering: `c * x1^2 * a3` terms joined
-    with ' + ', leading term first."""
+    with ' + ', leading term first, from the texts of ``_term_texts``."""
     if not p.terms:
         return "0"
-    chunks = []
-    for exps, c in _named_terms(p):
-        # str of an int or Fraction: "3", "-1/2"
-        factors = [str(c)]
-        factors += [name if e == 1 else f"{name}^{e}" for name, e in exps.items()]
-        chunks.append(" * ".join(factors))
-    return " + ".join(chunks)
+    # str of an int or Fraction: "3", "-1/2"
+    return " + ".join([f"{c!s} * {e}" if e else str(c)
+                       for c, e in _term_texts(p, _text_item, " * ")])

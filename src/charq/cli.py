@@ -23,8 +23,8 @@ import json
 import os
 import sys
 
-from .algebra import (AlgebraError, MultiPoly, at_a_zero, poly_to_json,
-                      poly_to_obj, poly_to_text, vartable_for)
+from .algebra import (AlgebraError, at_a_zero, poly_to_json, poly_to_text,
+                      vartable_for)
 from .characters import CHAR_ROUTES, TABLEAU_KIND, character
 from .lattice import paths_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
@@ -34,6 +34,9 @@ from .verify import SUITE_TABLE, SUITES, run_suite
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 3
+
+# json.dumps(obj, separators=(",", ":")) without a new encoder per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class SpecError(Exception):
@@ -49,12 +52,6 @@ def _parse_parts(text: str | None) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SpecError(f"bad partition {text!r}: expected comma-separated integers")
-
-
-def _emit_poly(p: MultiPoly, out: str) -> str:
-    if out == "json":
-        return poly_to_json(p)
-    return poly_to_text(p)
 
 
 def _run_poly_command(args, families, routes, compute) -> int:
@@ -82,17 +79,23 @@ def _run_poly_command(args, families, routes, compute) -> int:
         values[m] = p
     first = values[methods[0]]
     equal = all(v == first for v in values.values())
+    emit = poly_to_json if args.out == "json" else poly_to_text
+    if equal:
+        texts = dict.fromkeys(methods, emit(first))
+    else:
+        texts = {m: emit(v) for m, v in values.items()}
     if len(methods) == 1:
-        print(_emit_poly(first, args.out))
+        print(texts[methods[0]])
     elif args.out == "json":
-        obj = {"kind": args.kind, "n": args.n, "lambda": list(parts),
-               "a": args.a,
-               "methods": {m: poly_to_obj(v) for m, v in values.items()},
-               "equal": equal}
-        print(json.dumps(obj, separators=(",", ":")))
+        # the compact json.dumps of {"kind", "n", "lambda", "a", "methods":
+        # {route: poly_to_obj(value)}, "equal"}, around the texts above
+        body = ",".join(f"{_dumps(m)}:{texts[m]}" for m in methods)
+        print(f'{{"kind":{_dumps(args.kind)},"n":{_dumps(args.n)},'
+              f'"lambda":{_dumps(list(parts))},"a":{_dumps(args.a)},'
+              f'"methods":{{{body}}},"equal":{_dumps(equal)}}}')
     else:
         for m in methods:
-            print(f"{m}: {poly_to_text(values[m])}")
+            print(f"{m}: {texts[m]}")
         print(f"equal: {str(equal).lower()}")
     return 0 if equal else IDENTITY_ERROR
 

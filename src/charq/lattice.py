@@ -46,7 +46,10 @@ caller holds.  A path recurs as one object through the row memo below, so
 its text is keyed by its id; edges repeat heavily across a family (equal
 endpoints, type and shared cached weight), so an edge is encoded once per
 key ``(frm, to, kind, id(weight))``.  Each entry keeps its path or weight
-alive, so the id cannot be reused while memoised.
+alive, so the id cannot be reused while memoised.  The tableau half of
+the line comes from the same memo: the "kind", "shape", "n" head, which
+the path tuple's text shares, is built once per (kind, shape, n), and
+each distinct row's cell list once per row.
 
 Row paths are memoised the same way.  Path i depends on nothing but
 (kind, n, i, row i, vt), and the tableaux of one shape share rows, so
@@ -99,6 +102,18 @@ def _point_json(p: tuple[int, int]) -> str:
     return _dumps([_halve(p[0]), p[1]])
 
 
+def _head_json(kind: str, shape: tuple[int, ...], n: int, memo: dict) -> str:
+    """``"kind":..,"shape":[..],"n":..``, the head of both the tableau's
+    and the path tuple's JSON object, taken from ``memo`` (held by the
+    caller) under the key (kind, shape, n) once it was built."""
+    key = (kind, shape, n)
+    head = memo.get(key)
+    if head is None:
+        head = memo[key] = (f'"kind":{_dumps(kind)},"shape":{_dumps(list(shape))},'
+                            f'"n":{_dumps(n)}')
+    return head
+
+
 @dataclass(frozen=True)
 class Path:
     start: tuple[int, int]
@@ -131,8 +146,9 @@ class PathTuple:
 
     def to_json(self, memo: dict) -> str:
         """``_dumps(self.to_obj())``, with each edge's and each path's text
-        taken from ``memo`` (filled here, held by the caller) once it was
-        encoded.  A path is keyed by its id and an edge by (frm, to, kind,
+        and the "kind", "shape", "n" head (``_head_json``) taken from
+        ``memo`` (filled here, held by the caller) once it was encoded.  A
+        path is keyed by its id and an edge by (frm, to, kind,
         id(weight)); each entry holds its path or weight, so the id stays
         its own.  A path the row memo hands out again is found by its id,
         so its edges are not visited; a path drawn afresh is encoded from
@@ -152,8 +168,8 @@ class PathTuple:
                                         f'"end":{_point_json(p.end)},'
                                         f'"edges":[{",".join(edges)}]}}')
             paths.append(hit[1])
-        return (f'{{"kind":{_dumps(self.kind)},"shape":{_dumps(list(self.shape))},'
-                f'"n":{self.n},"paths":[{",".join(paths)}]}}')
+        head = _head_json(self.kind, self.shape, self.n, memo)
+        return f'{{{head},"paths":[{",".join(paths)}]}}'
 
     def weight(self) -> MultiPoly:
         out = None
@@ -347,8 +363,20 @@ def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
 def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
     """One line of the ``tableaux --paths`` stream: exactly
     ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
-    with row paths and edge and path texts shared through ``memo`` (see
-    ``tableau_to_paths`` and ``PathTuple.to_json``; their keys are tuples
-    of 5 and 4 items and ints, so they cannot collide)."""
-    return (f'{{"tableau":{_dumps(t.to_obj())},'
-            f'"paths":{tableau_to_paths(t, vt, memo).to_json(memo)}}}')
+    written from texts shared through ``memo``: row paths (see
+    ``tableau_to_paths``), edge and path texts (see ``PathTuple.to_json``),
+    the "kind", "shape", "n" head that the tableau and its path tuple share
+    (``_head_json``), and each distinct row's cell list, under the key
+    ("cells", row).  The keys are ints and tuples of 2, 3, 4 and 5 items,
+    so they cannot collide."""
+    pt = tableau_to_paths(t, vt, memo)
+    cells = []
+    for row in t.rows:
+        key = ("cells", row)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = f'[{",".join([_dumps(e.token) for e in row])}]'
+        cells.append(text)
+    head = _head_json(t.kind, t.shape, t.n, memo)
+    return (f'{{"tableau":{{{head},"cells":[{",".join(cells)}]}},'
+            f'"paths":{pt.to_json(memo)}}}')

@@ -15,7 +15,7 @@ from charq import algebra, cli
 from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
                            NonInvertibleBinding, TruncatedSeries, VarTable,
-                           VarTableMismatch, add_a, av, determinant,
+                           VarTableMismatch, add_a, at_a_zero, av, determinant,
                            exact_div, factorial_power, linear_factor, monomial,
                            permute_variables, poly_from_json, poly_from_obj,
                            poly_to_json, poly_to_obj, poly_to_text,
@@ -945,6 +945,96 @@ def test_constructor_drops_zeros_and_stores_integral_fractions_as_int():
     assert mixed == 2 * xv(vt, 1) + Fraction(1, 2) * yv(vt, 1)
     assert sorted(map(type, mixed.terms.values()), key=str) == [Fraction, int]
     assert poly_to_text(mixed) == "2 * x1 + 1/2 * y1"
+
+
+# tables for the relabel and writer properties: a_max = 0, small ones, and
+# vartable(4, 16), whose 26 fields (degree included) are the most this
+# package's tables reach in the tests
+_WIDE_TABLES = (vartable(1, 0), vartable(2, 0), vartable(1, 1), vartable(2, 3),
+                vartable(3, 5), vartable(4, 16))
+
+
+@st.composite
+def wide_polys(draw):
+    """Polynomials over one of _WIDE_TABLES: x/y exponents up to
+    +-(BIAS - 1), powers of t, int or Fraction coefficients, and about
+    half the terms carrying a's (so at_a_zero drops them).  A term whose
+    total degree leaves the range is skipped."""
+    vt = draw(st.sampled_from(_WIDE_TABLES))
+    xy_exp = st.one_of(exponents, st.sampled_from((BIAS - 1, 1 - BIAS)))
+    coeff = draw(st.sampled_from((coeffs, rationals)))
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        mono = [0] * vt.size
+        for pos in range(2 * vt.n):
+            if draw(st.booleans()):
+                mono[pos] = draw(xy_exp)
+        if vt.a_max and draw(st.booleans()):
+            for k in draw(st.lists(st.integers(min_value=1, max_value=vt.a_max),
+                                   min_size=1, max_size=3)):
+                mono[vt.a_pos(k)] = draw(st.integers(min_value=1, max_value=3))
+        mono[vt.t_pos] = draw(st.sampled_from((0, 0, 1, 2, 7)))
+        if -BIAS <= sum(mono) < BIAS:
+            terms[tuple(mono)] = draw(coeff)
+    return MultiPoly(vt, terms)
+
+
+def _at_a_zero_by_unpacking(p):
+    """at_a_zero as each term's exponent tuple, rebuilt without the a's."""
+    vt = p.vt
+    lo, hi = 2 * vt.n, 2 * vt.n + vt.a_max
+    out = {}
+    for key, c in p.terms.items():
+        mono = vt.unpack(key)
+        if not any(mono[lo:hi]):
+            out[mono[:lo] + (mono[vt.t_pos],)] = c
+    return MultiPoly(vartable(vt.n, 0), out)
+
+
+@given(wide_polys())
+@settings(max_examples=200)
+def test_packed_at_a_zero_matches_unpacking(p):
+    before = dict(p.terms)
+    got = at_a_zero(p)
+    want = _at_a_zero_by_unpacking(p)
+    assert got.vt is vartable(p.vt.n, 0)
+    assert got == want
+    assert [type(got.terms[m]) for m in sorted(got.terms)] == \
+        [type(want.terms[m]) for m in sorted(want.terms)]
+    assert p.terms == before
+
+
+def _named_terms(p):
+    """(exponents by name, coefficient) per term, leading term first, each
+    key decoded field by field."""
+    vt = p.vt
+    out = []
+    for m in sorted(p.terms, reverse=True):
+        exps = {name: e for name, e in zip(vt.names, vt.unpack(m)) if e}
+        out.append((exps, p.terms[m]))
+    return out
+
+
+def _text_by_named_terms(p):
+    if not p.terms:
+        return "0"
+    return " + ".join(" * ".join([str(c)] + [name if e == 1 else f"{name}^{e}"
+                                             for name, e in exps.items()])
+                      for exps, c in _named_terms(p))
+
+
+_constants = st.builds(MultiPoly.const, st.sampled_from(_WIDE_TABLES),
+                       st.one_of(coeffs, rationals))
+
+
+@given(st.one_of(wide_polys(), _constants,
+                 st.builds(MultiPoly.zero, st.sampled_from(_WIDE_TABLES))))
+@settings(max_examples=200)
+def test_writers_match_the_object_and_the_named_terms(p):
+    for q in (p, at_a_zero(p)):
+        assert poly_to_json(q) == json.dumps(poly_to_obj(q), separators=(",", ":"))
+        assert poly_to_text(q) == _text_by_named_terms(q)
+        assert poly_from_json(q.vt, poly_to_json(q)) == q
 
 
 def test_vartable_for_sizing():

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from charq import characters, lattice, tableaux, verify
-from charq.algebra import MultiPoly, vartable_for
+from charq import characters, cli, lattice, tableaux, verify
+from charq.algebra import (MultiPoly, at_a_zero, poly_to_obj, poly_to_text,
+                           vartable_for)
 from charq.cli import main
 from charq.partitions import enumerate_partitions
 from charq.tableaux import ALL_KINDS, Q_KINDS, enumerate_tableaux
@@ -189,6 +190,55 @@ def test_poly_output_bytes_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _POLY_OUTPUT_DIGESTS[argv]
+
+
+def _routes_object(kind, n, parts, a, values, equal):
+    """The multi-route JSON line as the compact dump of its object, one
+    poly_to_obj per route's value."""
+    return json.dumps({"kind": kind, "n": n, "lambda": list(parts), "a": a,
+                       "methods": {m: poly_to_obj(v) for m, v in values.items()},
+                       "equal": equal}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("a", ["symbolic", "zero"])
+def test_disagreeing_routes_print_each_value(capsys, monkeypatch, a):
+    jt = characters.CHAR_ROUTES["jt"]
+    monkeypatch.setitem(characters.CHAR_ROUTES, "jt",
+                        lambda kind, lam, vt: jt(kind, lam, vt) + 1)
+    vt = vartable_for(2, 2)
+    values = {}
+    for m in ("def", "jt", "tab"):
+        v = characters.character("sp", (2, 1), vt, m)
+        values[m] = at_a_zero(v) if a == "zero" else v
+    assert values["jt"] != values["def"] == values["tab"]
+    argv = ("char", "--kind", "sp", "--n", "2", "--lambda", "2,1",
+            "--method", "def,jt,tab", "--a", a)
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out == _routes_object("sp", 2, (2, 1), a, values, False)
+    code, out, _ = run(capsys, *argv, "--out", "text")
+    assert code == 3
+    assert out.splitlines() == [f"{m}: {poly_to_text(v)}"
+                                for m, v in values.items()] + ["equal: false"]
+
+
+@pytest.mark.parametrize("out_mode", ["json", "text"])
+def test_agreeing_routes_serialise_once(capsys, monkeypatch, out_mode):
+    name = "poly_to_json" if out_mode == "json" else "poly_to_text"
+    real = getattr(cli, name)
+    calls = []
+    monkeypatch.setattr(cli, name, lambda p: calls.append(p) or real(p))
+    code, out, _ = run(capsys, "char", "--kind", "sp", "--n", "3", "--lambda",
+                       "2,1", "--method", "def,hdet,jt,tab", "--out", out_mode)
+    assert code == 0 and len(calls) == 1
+    value = characters.character("sp", (2, 1), vartable_for(3, 2), "jt")
+    routes = ("def", "hdet", "jt", "tab")
+    if out_mode == "json":
+        assert out == _routes_object("sp", 3, (2, 1), "symbolic",
+                                     dict.fromkeys(routes, value), True)
+    else:
+        assert out.splitlines() == [f"{m}: {poly_to_text(value)}"
+                                    for m in routes] + ["equal: true"]
 
 
 # SHA-256 of the lattice-path suite's report over every family at n <= 3:
