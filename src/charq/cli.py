@@ -26,7 +26,7 @@ import sys
 from .algebra import (AlgebraError, at_a_zero, poly_to_json, poly_to_text,
                       vartable_for)
 from .characters import CHAR_ROUTES, TABLEAU_KIND, character
-from .lattice import paths_line
+from .lattice import paths_line, tableau_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
 from .tableaux import (ALL_KINDS, check_shape, count_tableaux,
                        enumerate_tableaux)
@@ -125,7 +125,7 @@ def cmd_tableaux(args) -> int:
         print(count_tableaux(args.kind, parts, args.n))
         return 0
     vt = vartable_for(args.n, parts[0] if parts else 0)
-    # edge texts of this command's stream, shared across its tableaux
+    # texts of this command's stream, shared across its tableaux
     memo = {}
     for t in enumerate_tableaux(args.kind, parts, args.n):
         if args.out == "text":
@@ -134,7 +134,7 @@ def cmd_tableaux(args) -> int:
         elif args.paths:
             print(paths_line(t, vt, memo))
         else:
-            print(json.dumps(t.to_obj(), separators=(",", ":")))
+            print(tableau_line(t, memo))
     return 0
 
 

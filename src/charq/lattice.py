@@ -23,33 +23,26 @@ its cells.  Both sides build their factors with the cached
 ``algebra.linear_factor``, so equal factors are one shared object, and
 the unit V weight is that constructor's constant 1.  The edge weights
 read their index k off the step's lattice position, not off the cell
-(``tableaux.cell_weight``), so that ``verify.suite_lgv``, which compares
-the two factor multisets, checks two independent statements of the
-weights.  Path i carries the factors of row i, so the suite compares
-them row by row, once per distinct (row index, row, path), as small
-ints interned per case by value; it falls back to the whole tableau's
-multisets when a row differs, and multiplies both sides out only when
-those differ too, where the products decide exactly.  The suite also
-checks each distinct path's geometry once, with ``is_lattice_path``:
-its edges chain from start to end, H, V and D are unit steps, C steps
-run from column 0 to column 1, and the path ends on the bottom level.
-Edges are named tuples, the cheapest immutable record to build per
-step; the walker builds its ``Path`` and ``PathTuple`` records straight
-into their instance dicts (``_path``, ``_path_tuple``), skipping the
-frozen dataclass ``__init__`` but giving the same records.
+(``tableaux.cell_weight``), so the two are independent statements of the
+weights, which ``verify.suite_lgv`` compares.  Edges are named tuples,
+the cheapest immutable record to build per step, and only this module
+relies on the order of their fields; the walker builds its ``Path`` and
+``PathTuple`` records straight into their instance dicts (``_path``,
+``_path_tuple``), skipping the frozen dataclass ``__init__`` but giving
+the same records.
 
-The JSON text of a path tuple and of one ``tableaux --paths`` line is laid
-out here and nowhere else: ``paths_line`` writes the compact
-``json.dumps`` of ``{"tableau": t.to_obj(), "paths": <tuple>.to_obj()}``
-byte for byte, but takes each edge's and each path's text from a memo the
-caller holds.  A path recurs as one object through the row memo below, so
-its text is keyed by its id; edges repeat heavily across a family (equal
-endpoints, type and shared cached weight), so an edge is encoded once per
-key ``(frm, to, kind, id(weight))``.  Each entry keeps its path or weight
-alive, so the id cannot be reused while memoised.  The tableau half of
-the line comes from the same memo: the "kind", "shape", "n" head, which
-the path tuple's text shares, is built once per (kind, shape, n), and
-each distinct row's cell list once per row.
+The JSON text of a tableau, of a path tuple and of one ``tableaux
+--paths`` line is laid out here and nowhere else: ``tableau_line`` writes
+the compact ``json.dumps`` of ``t.to_obj()`` and ``paths_line`` that of
+``{"tableau": t.to_obj(), "paths": <tuple>.to_obj()}``, byte for byte,
+from texts in a memo the caller holds.  A path recurs as one object
+through the row memo below, so its text is keyed by its id; edges repeat
+heavily across a family (equal endpoints, type and shared cached
+weight), so an edge is encoded once per key ``(frm, to, kind,
+id(weight))``.  Each entry keeps its path or weight alive, so the id
+cannot be reused while memoised.  The "kind", "shape", "n" head, which a
+tableau and its path tuple share, is built once per (kind, shape, n),
+and each distinct row's cell list once per row.
 
 Row paths are memoised the same way.  Path i depends on nothing but
 (kind, n, i, row i, vt), and the tableaux of one shape share rows, so
@@ -360,16 +353,11 @@ def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
     return _path(start, (2 * bottom, col), tuple(edges))
 
 
-def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
-    """One line of the ``tableaux --paths`` stream: exactly
-    ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
-    written from texts shared through ``memo``: row paths (see
-    ``tableau_to_paths``), edge and path texts (see ``PathTuple.to_json``),
-    the "kind", "shape", "n" head that the tableau and its path tuple share
-    (``_head_json``), and each distinct row's cell list, under the key
-    ("cells", row).  The keys are ints and tuples of 2, 3, 4 and 5 items,
-    so they cannot collide."""
-    pt = tableau_to_paths(t, vt, memo)
+def tableau_line(t: Tableau, memo: dict) -> str:
+    """The JSON text of a tableau: exactly ``_dumps(t.to_obj())``, written
+    from the "kind", "shape", "n" head (``_head_json``) and each distinct
+    row's cell list, both taken from ``memo`` (held by the caller); a row's
+    text is kept under the key ("cells", row)."""
     cells = []
     for row in t.rows:
         key = ("cells", row)
@@ -378,5 +366,16 @@ def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
             text = memo[key] = f'[{",".join([_dumps(e.token) for e in row])}]'
         cells.append(text)
     head = _head_json(t.kind, t.shape, t.n, memo)
-    return (f'{{"tableau":{{{head},"cells":[{",".join(cells)}]}},'
-            f'"paths":{pt.to_json(memo)}}}')
+    return f'{{{head},"cells":[{",".join(cells)}]}}'
+
+
+def paths_line(t: Tableau, vt: VarTable, memo: dict) -> str:
+    """One line of the ``tableaux --paths`` stream: exactly
+    ``_dumps({"tableau": t.to_obj(), "paths": tableau_to_paths(t, vt).to_obj()})``,
+    written from texts shared through ``memo``: row paths (see
+    ``tableau_to_paths``), edge and path texts (see ``PathTuple.to_json``)
+    and the tableau's text (``tableau_line``), whose head its path tuple
+    shares.  The keys are ints and tuples of 2, 3, 4 and 5 items, so they
+    cannot collide."""
+    pt = tableau_to_paths(t, vt, memo)
+    return f'{{"tableau":{tableau_line(t, memo)},"paths":{pt.to_json(memo)}}}'

@@ -43,12 +43,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts {parts} are not weakly decreasing")
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import (AlgebraError, MultiPoly, add_a, vartable_for, xbar, xv,
@@ -310,34 +310,47 @@ def _qtilde_recursion_case(n, r, s, m):
 
 def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
               shapes=None, size_max: int | None = None) -> SuiteReport:
-    """Per-family checks of the tableau-to-path map: edge-weight products
-    reproduce tableau weights, images are pairwise vertex-disjoint, the
-    map is injective, character-side D steps sit on the zero letters, and
-    every image is a path of the lattice (``lattice.is_lattice_path``:
-    edges chained from start to end by unit H, V and D steps, C steps
-    from column 0 to 1, ending on the bottom level).  ``shapes`` may pin
-    an explicit list of (kind, parts, n); otherwise the grid runs over
-    partitions with parts <= lambda_max (optionally |shape| <= size_max).
-    A failing case reports the first failing check in that order:
-    weight mismatch, paths intersect, not injective, diagonal steps, not
-    a lattice path.
+    """Per-family checks of the tableau-to-path map, the lattice-path model
+    of Gessel and Viennot: edge-weight products reproduce tableau weights,
+    images are pairwise vertex-disjoint, the map is injective,
+    character-side D steps sit on the zero letters, and every path runs
+    through the lattice from its fixed source to its fixed sink.
+    ``shapes`` may pin an explicit list of (kind, parts, n); otherwise the
+    grid runs over partitions with parts <= lambda_max (optionally
+    |shape| <= size_max).  A failing case reports the first failing check
+    in that order: weight mismatch, paths intersect, not injective,
+    diagonal steps, not a lattice path.
 
-    Both weights are products of linear factors, so equal sorted
-    multisets of non-unit factors have equal products.  Path i and the
-    cell weights of row i depend only on (row index, row), so each case
-    compares them row by row: once per distinct (row index, row, path)
-    it holds the row's sorted non-unit cell-weight ids
-    (``tableaux.row_factors``) against the path's sorted non-unit
-    edge-weight ids, and reads the path's signature, D steps and
-    geometry.  A tableau whose rows all match passes the weight check.
-    If a row does not, the whole tableau's multisets are compared (rows
-    may trade factors and still agree), and only when those differ are
-    both products expanded, so the verdict is exactly product equality.
-    Weights and path signatures are compared as small ints interned per
-    case by value (the unit weight is 0), so equal-valued copies match
-    and the multisets sort ints.  Every tableau is still validated on
-    both sides (by ``tableau_to_paths``, and for the cell side here) and
-    checked for disjointness and injectivity as a whole."""
+    Path i and the cell weights of row i depend only on (row index, row),
+    so each case checks once per distinct (row index, row, path): the
+    row's sorted non-unit cell weights (``tableaux.row_factors``) against
+    the path's sorted non-unit edge weights, the path's signature (its
+    edge geometry and weights, since curved starts can share geometry),
+    its D steps (one per zero letter, at most one, in the character kinds,
+    empty rows included), and its geometry.  A path's geometry holds when
+    it starts at its source, ends in its source's column plus the row's
+    length, and is a lattice path (``lattice.is_lattice_path``: edges
+    chained by unit H, V and D steps, C steps from column 0 to 1, ending
+    on the bottom level).  The sources are written here from the model,
+    not taken from the walker: on the character side the staircase point
+    at level i (2i - 1 for sp/so) in column n - i + 1; on the Q side the
+    left edge at level d (2d - 1/2 for spQ/soQ), d the index of the row's
+    diagonal letter.
+
+    The edge weights read their parameter index off the step's lattice
+    position and the cell weights off the cell, so the weight check
+    compares two independent statements.  Both are products of linear
+    factors, so equal multisets of non-unit factors have equal products.
+    A tableau whose rows all match passes the weight check.  If a row
+    does not, the whole tableau's multisets are compared (rows may trade
+    factors and still agree), and only when those differ are both products
+    expanded, so the verdict is exactly product equality.  Weights and
+    path signatures are compared as small ints interned per case by value
+    (the unit weight is 0, which the multisets leave out), so
+    equal-valued copies match and the multisets sort ints.  Every tableau
+    is still validated on both sides (by ``tableau_to_paths``, and for the
+    cell side here) and checked for disjointness and injectivity as a
+    whole."""
     kinds = _kinds(ALL_KINDS, kind, "tableau")
     cases = []
     if shapes is not None:
@@ -359,54 +372,43 @@ def _lgv_case(kind, parts, n):
     # before vartable_for, which would call a negative part a bad a_max
     check_shape(kind, parts, n)
     vt = vartable_for(n, parts[0] if parts else 0)
-    # tableaux share rows, so one row memo serves the case and a path
-    # recurs as one object; cell and edge factors are shared values too
-    # (algebra.linear_factor).  Each distinct weight is keyed once by id
-    # (``held`` keeps it, so the id cannot be reused), and each distinct
-    # (row index, row, path) is checked once, into ``checked``, whose
-    # entry holds its path: the row's cell-weight ids against the path's
-    # edge-weight ids, the path's signature id, its D steps against the
-    # row's zero letters, and its geometry.  Weights and path signatures
-    # are interned to per-case ints by value; the unit weight's is 0,
-    # which the multisets leave out.  ``vertices`` lists each path's
-    # vertices once for ``non_intersecting``.
+    # the row memo hands a recurring row's path out as one object, and cell
+    # and edge factors are shared values (algebra.linear_factor), so
+    # ``weights`` and ``checked`` are keyed by id; each entry holds its
+    # weight or path, so the id cannot be reused while the case runs
     rows = {}
     weights = {}
-    held = []
     checked = {}
     weight_ids = {_term_key(MultiPoly.one(vt)): 0}
     sig_ids = {}
-    ell = len(parts)
     # the character kinds draw a path for every row up to n, empty ones too
-    pad = () if kind in Q_KINDS else ((),) * (n - ell)
+    pad = () if kind in Q_KINDS else ((),) * (n - len(parts))
     index = range(1, n + 1)
 
     def key(w):
         hit = weights.get(id(w))
         if hit is None:
-            tk = _term_key(w)
-            hit = weights[id(w)] = weight_ids.setdefault(tk, len(weight_ids))
-            held.append(w)
-        return hit
-
-    def ids(ws):
-        """The weight ids of the list ``ws``; mostly plain lookups."""
-        got = [weights.get(id(w)) for w in ws]
-        return got if None not in got else list(map(key, ws))
+            hit = weights[id(w)] = (
+                w, weight_ids.setdefault(_term_key(w), len(weight_ids)))
+        return hit[1]
 
     def check(i, row, p):
         """Row i's verdicts against its path p, kept in ``checked``."""
-        ws = ids(list(map(_WEIGHT, p.edges)))
+        ws = [key(e.weight) for e in p.edges]
         edges = sorted(filter(None, ws))
-        cells = sorted(filter(None, ids(tableaux.row_factors(kind, n, i, row, vt))))
-        # curved variants can share geometry (x_k vs y_k starts),
-        # so the identity of a path includes its edge weights
-        sig = (tuple(map(_GEOMETRY, p.edges)), tuple(ws))
-        # a character row steps diagonally once per zero letter, at most once
-        diagonal = kind not in CHAR_KINDS or i > ell or (
-            (d := list(map(_KIND, p.edges)).count("D")) == sum(e.zero for e in row)
+        factors = tableaux.row_factors(kind, n, i, row, vt)
+        cells = sorted(filter(None, map(key, factors)))
+        sig = (tuple([(e.frm, e.to, e.kind) for e in p.edges]), tuple(ws))
+        if kind in Q_KINDS:
+            k = row[0].k  # the diagonal letter's index
+            source = (2 * k if kind == "glQ" else 4 * k - 1, 0)
+        else:
+            source = (2 * i if kind == "glChar" else 4 * i - 2, n - i + 1)
+        diagonal = kind not in CHAR_KINDS or (
+            (d := [e.kind for e in p.edges].count("D")) == sum(e.zero for e in row)
             and d <= 1)
-        geometry = is_lattice_path(kind, n, p)
+        geometry = (p.start == source and p.end[1] == source[1] + len(row)
+                    and is_lattice_path(kind, n, p))
         weight = edges == cells
         hit = checked[(i, row, id(p))] = _RowCheck(
             weight and diagonal and geometry,
@@ -431,7 +433,7 @@ def _lgv_case(kind, parts, n):
             # and different multisets equal products
             factors = tableau_factors(t, vt)
             edge_ms = sorted(w for r in data for w in r.edges)
-            cell_ms = sorted(filter(None, ids(factors)))
+            cell_ms = sorted(filter(None, map(key, factors)))
             if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
                 return inputs, False, {"count": count, "reason": "weight mismatch"}
         if not pt.non_intersecting(vertices):
@@ -448,21 +450,16 @@ def _lgv_case(kind, parts, n):
     return inputs, True, {"count": count}
 
 
-_GEOMETRY = itemgetter(0, 1, 2)  # an edge's (frm, to, kind)
-_KIND = itemgetter(2)
-_WEIGHT = itemgetter(3)
-
-
 class _RowCheck(NamedTuple):
     """One row's verdicts against its path in ``_lgv_case``."""
 
     ok: bool            # weight, diagonal and geometry all hold
     sig: int            # the path's signature id
-    edges: list[int]    # the path's sorted non-unit edge-weight ids
-    weight: bool        # they equal the row's sorted non-unit cell-weight ids
+    edges: list[int]    # the path's sorted non-unit edge weights, as interned ints
+    weight: bool        # they equal the row's sorted non-unit cell weights
     diagonal: bool      # D steps: one per zero letter, at most one (character kinds)
-    geometry: bool      # the path is a lattice path (lattice.is_lattice_path)
-    path: Path          # held, so its id in the key stays its own
+    geometry: bool      # the path runs from its source to its sink in the lattice
+    path: Path          # kept, so its id in the key stays its own
 
 
 def _term_key(p: MultiPoly) -> tuple:

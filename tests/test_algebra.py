@@ -169,6 +169,28 @@ def test_add_a_matches_general_add(base, k, sign):
     assert base.terms == before
 
 
+def test_table_and_constructor_refusals():
+    vt = vartable(2, 2)
+    assert repr(vt) == "VarTable(n=2, a_max=2)"
+    with pytest.raises(ValueError, match="needs 7 exponents, got 3"):
+        vt.pack((0, 0, 0))
+    with pytest.raises(ValueError, match="only on x/y variables"):
+        MultiPoly.var_at(vt, vt.a_pos(1), -1)
+
+
+def test_mixed_arithmetic_with_numbers():
+    vt = vartable(2, 2)
+    x1 = xv(vt, 1)
+    # a polynomial never equals a bare number, not even the constant 1
+    assert (MultiPoly.one(vt) == 1) is False
+    assert repr(x1 + Fraction(1, 2)) == "MultiPoly(1 * x1 + 1/2)"
+    assert x1 - 3 == x1 + MultiPoly.const(vt, -3)
+    assert poly_to_text(x1 - 3) == "1 * x1 + -3"
+    assert 3 - x1 == MultiPoly.const(vt, 3) + (-x1)
+    assert poly_to_text(3 - x1) == "-1 * x1 + 3"
+    assert x1 * 0 == MultiPoly.zero(vt) and (x1 * 0).is_zero()
+
+
 # -- linear factors -----------------------------------------------------------
 
 
@@ -738,6 +760,14 @@ def test_gf_coeff_raises_and_caches_nothing_it_should_not():
         _gf_reference(1, [], [x1], 2, GF_VT)
 
 
+def test_truncated_series_refuses_a_bad_order_or_length():
+    vt = vartable(2, 2)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        TruncatedSeries(vt, -1, [])
+    with pytest.raises(ValueError, match="exactly order\\+1 coefficients"):
+        TruncatedSeries(vt, 1, [xv(vt, 1)])
+
+
 # -- substitution -----------------------------------------------------------------
 
 
@@ -845,6 +875,14 @@ def test_permute_variables_refuses_unknown_and_non_injective_maps():
         permute_variables(p, {"zz": "x1"})
     with pytest.raises(ValueError, match="must be injective"):
         permute_variables(p, {"x1": "x2"})
+
+
+def test_specialize_refuses_to_invert_a_parameter():
+    # x1 occurs with exponent -1, so it may be bound only to an invertible
+    # monomial; a1 is an ordinary polynomial variable
+    vt = vartable(2, 2)
+    with pytest.raises(NonInvertibleBinding):
+        specialize(xbar(vt, 1), {"x1": av(vt, 1)})
 
 
 # -- serialisation -----------------------------------------------------------------

@@ -312,6 +312,23 @@ def test_tableaux_paths_memo_lives_for_one_command(capsys, monkeypatch):
     assert out.splitlines() == _reference_lines("spQ", (2, 1), 2)
 
 
+def test_plain_tableaux_stream_pinned(capsys):
+    # the plain stream and the tableau half of a --paths line come from one
+    # writer; over the grid of test_enumeration_output_pinned the plain
+    # stream must give that test's bytes: compact json.dumps of to_obj()
+    h = hashlib.sha256()
+    for kind in ALL_KINDS:
+        for n in (1, 2, 3):
+            for lam in enumerate_partitions(3, n, strict=kind in Q_KINDS):
+                code, out, _ = run(capsys, "tableaux", "--kind", kind,
+                                   "--n", str(n), "--lambda",
+                                   ",".join(map(str, lam.parts)))
+                assert code == 0
+                h.update(out.encode())
+    assert h.hexdigest() == \
+        "3b863ef64b6e1c48377c20fe1dbecba17c38698c2d0d5ecb6a9d29851929af82"
+
+
 def test_verify_suite_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tokuyama",
                        "--n-max", "2", "--mu-max", "2")

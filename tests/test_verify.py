@@ -12,7 +12,7 @@ import charq
 from charq import characters, cli, lattice, tableaux, verify
 from charq.algebra import MultiPoly, TruncatedSeries, vartable_for, xbar, xv
 from charq.lattice import Edge, Path, PathTuple
-from charq.tableaux import enumerate_tableaux
+from charq.tableaux import Q_KINDS, enumerate_tableaux
 from charq.verify import (CaseResult, SuiteReport, run_suite, suite_lgv,
                           suite_routes)
 
@@ -334,6 +334,74 @@ def test_lgv_reports_diagonal_steps_off_the_zero_letters(monkeypatch):
                         lambda frm, to, kind, weight:
                         Edge(frm, to, "D" if kind == "H" else kind, weight))
     rep = suite_lgv(shapes=[("soChar", (2, 1), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "diagonal steps"}
+
+
+def _off_source(real):
+    """``lattice._row_path`` with every path moved off its source: a
+    character path whose first step is V starts where that step ends,
+    without it; a Q path's C step leaves the left edge two doubled levels
+    lower.  Each path still chains to the bottom level with its weights."""
+    def row_path(kind, n, i, row, vt):
+        p = real(kind, n, i, row, vt)
+        if kind in Q_KINDS:
+            curve, *rest = p.edges
+            start = (p.start[0] + 2, 0)
+            return Path(start, p.end,
+                        (Edge(start, curve.to, "C", curve.weight), *rest))
+        if p.edges and p.edges[0].kind == "V":
+            return Path(p.edges[0].to, p.end, p.edges[1:])
+        return p
+    return row_path
+
+
+def _off_sink(real):
+    """``lattice._row_path`` with every path that ends on a V step ending
+    instead on a unit-weight D step one column to the right, so it reaches
+    the bottom level one column right of its sink."""
+    def row_path(kind, n, i, row, vt):
+        p = real(kind, n, i, row, vt)
+        if not p.edges or p.edges[-1].kind != "V":
+            return p
+        last = p.edges[-1]
+        end = (last.to[0], last.to[1] + 1)
+        return Path(p.start, end,
+                    p.edges[:-1] + (Edge(last.frm, end, "D", last.weight),))
+    return row_path
+
+
+@pytest.mark.parametrize("kind,count", [("glChar", 2), ("spChar", 1),
+                                        ("soChar", 1), ("glQ", 1),
+                                        ("spQ", 1), ("soQ", 1)])
+def test_lgv_reports_a_path_off_its_source(monkeypatch, kind, count):
+    # weights, disjointness, injectivity and D steps still hold; glChar's
+    # first tableau has no path that starts with a V step
+    monkeypatch.setattr(lattice, "_row_path", _off_source(lattice._row_path))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 3)])
+    assert rep.cases[0].detail == {"count": count,
+                                   "reason": "not a lattice path"}
+
+
+@pytest.mark.parametrize("kind,reason", [("glChar", "diagonal steps"),
+                                         ("spChar", "diagonal steps"),
+                                         ("soChar", "diagonal steps"),
+                                         ("glQ", "not a lattice path"),
+                                         ("spQ", "not a lattice path"),
+                                         ("soQ", "not a lattice path")])
+def test_lgv_reports_a_path_off_its_sink(monkeypatch, kind, reason):
+    # the moved path still ends on the bottom level with its weights; a
+    # character row gains a D step no zero letter accounts for
+    monkeypatch.setattr(lattice, "_row_path", _off_sink(lattice._row_path))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 3)])
+    assert rep.cases[0].detail == {"count": 1, "reason": reason}
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar"])
+def test_lgv_reports_a_diagonal_step_in_an_empty_row(monkeypatch, kind):
+    # the empty shape's paths are V steps alone, so moving the last one
+    # gives each an unaccounted D step; empty rows get no exemption
+    monkeypatch.setattr(lattice, "_row_path", _off_sink(lattice._row_path))
+    rep = suite_lgv(shapes=[(kind, (), 2)])
     assert rep.cases[0].detail == {"count": 1, "reason": "diagonal steps"}
 
 
