@@ -1099,19 +1099,26 @@ def poly_to_json(p: MultiPoly) -> str:
 def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
     """Inverse of poly_to_obj.  Refuses what poly_to_obj never writes and
     the constructors never build: a negative exponent on an a or t
-    variable, and a monomial listed twice (ValueError)."""
+    variable, an exponent that is not an integer (2.0 and True pass as
+    2 and 1, as parts do), a zero denominator, and a monomial listed
+    twice (ValueError)."""
     if list(obj.get("vars", [])) != list(vt.names):
         raise VarTableMismatch("serialised variable list does not match table")
     terms = {}
     for t in obj["terms"]:
         num, _, den = t["c"].partition("/")
-        coeff = Fraction(int(num), int(den or "1"))
+        den = int(den or "1")
+        if not den:
+            raise ValueError(f"coefficient {t['c']!r} has a zero denominator")
+        coeff = Fraction(int(num), den)
         mono = [0] * vt.size
         for name, e in t["e"].items():
             pos = vt.index.get(name)
             if pos is None:
                 raise VarTableMismatch(f"unknown variable {name!r}")
             mono[pos] = int(e)
+            if mono[pos] != e:
+                raise ValueError(f"exponent {e!r} of {name} is not an integer")
         mono = tuple(mono)
         if mono in terms:
             raise ValueError(f"monomial {t['e']} is listed twice")

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 
 from .algebra import (AlgebraError, at_a_zero, poly_to_json, poly_to_text,
                       vartable_for)
 from .characters import CHAR_ROUTES, TABLEAU_KIND, character
-from .lattice import paths_line, tableau_line
+from .lattice import _dumps, paths_line, tableau_line
 from .qfunctions import QFUNC_KINDS, Q_ROUTES, qfunction
 from .tableaux import (ALL_KINDS, check_shape, count_tableaux,
                        enumerate_tableaux)
@@ -34,9 +33,6 @@ from .verify import SUITE_TABLE, SUITES, run_suite
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 3
-
-# json.dumps(obj, separators=(",", ":")) without a new encoder per call
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class SpecError(Exception):
@@ -185,17 +181,15 @@ def cmd_verify(args) -> int:
         report = run_suite(name, **suite_kw)
         failures += report.failed
         if args.out == "json":
-            print(json.dumps(report.to_obj(), separators=(",", ":")))
+            print(_dumps(report.to_obj()))
         else:
             print(f"suite {name}: passed={report.passed} failed={report.failed}")
             for case in report.cases:
                 status = "ok" if case.equal else "FAIL"
-                print(f"  [{status}] {json.dumps(case.inputs, separators=(',', ':'))}")
+                print(f"  [{status}] {_dumps(case.inputs)}")
         if not report.ok:
             bad = report.first_failure()
-            print(f"first failing case: "
-                  f"{json.dumps(bad.to_obj(), separators=(',', ':'))}",
-                  file=sys.stderr)
+            print(f"first failing case: {_dumps(bad.to_obj())}", file=sys.stderr)
     return IDENTITY_ERROR if failures else 0
 
 
@@ -216,14 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="compute a factorial character")
     common(p)
-    p.add_argument("--method", default="jt",
-                   help="comma-separated subset of def,hdet,jt,tab (default jt)")
+    p.add_argument("--method", default="jt", help="comma-separated subset of "
+                   f"{','.join(CHAR_ROUTES)} (default jt)")
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("qfun", help="compute a factorial Q-function")
     common(p)
-    p.add_argument("--method", default="det",
-                   help="comma-separated subset of tab,det (default det)")
+    p.add_argument("--method", default="det", help="comma-separated subset of "
+                   f"{','.join(Q_ROUTES)} (default det)")
     p.set_defaults(func=cmd_qfun)
 
     p = sub.add_parser("tableaux", help="stream a tableau family")

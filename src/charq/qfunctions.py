@@ -17,9 +17,7 @@ from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, VarTableMismatch,
                       a_shifted_down, check_a_range, determinant, gf_coeff,
                       xbar, xv, ybar, yv)
 from .characters import TABLEAU_KIND, char_flagged_jt
-from .tableaux import check_shape, tableau_weight_sum
-
-QFUNC_KINDS = ("glQ", "spQ", "soQ")
+from .tableaux import Q_KINDS as QFUNC_KINDS, check_shape, tableau_weight_sum
 
 CHAR_KIND = {"glQ": "gl", "spQ": "sp", "soQ": "so"}
 

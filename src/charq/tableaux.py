@@ -148,6 +148,7 @@ def alphabet(kind: str, n: int) -> tuple[Entry, ...]:
 
 
 def entry_from_token(token: str) -> Entry:
+    """The letter whose ``token`` is exactly ``token``, else ValueError."""
     s = token
     primed = s.endswith("prime")
     if primed:
@@ -156,11 +157,11 @@ def entry_from_token(token: str) -> Entry:
     if barred:
         s = s[: -len("bar")]
     k = int(s)
-    if k == 0:
-        if barred:
-            raise ValueError(f"bad entry token {token!r}")
-        return Entry(0, primed=primed, zero=True)
-    return Entry(k, barred=barred, primed=primed)
+    e = (Entry(0, primed=primed, zero=True) if k == 0
+         else Entry(k, barred=barred, primed=primed))
+    if e.token != token:
+        raise ValueError(f"bad entry token {token!r}")
+    return e
 
 
 _SHAPES: dict[tuple, tuple[int, ...]] = {}
@@ -245,6 +246,8 @@ def _tableau(kind: str, n: int, shape: tuple[int, ...],
 def tableau_from_obj(obj: dict) -> Tableau:
     kind = obj["kind"]
     n = int(obj["n"])
+    if n != obj["n"]:
+        raise ValueError(f"rank n {obj['n']!r} is not an integer")
     shape = check_shape(kind, obj["shape"], n)
     rows = tuple(tuple(entry_from_token(tok) for tok in row) for row in obj["cells"])
     if tuple(len(r) for r in rows) != shape:
@@ -281,7 +284,7 @@ def validate_tableau(t: Tableau) -> ValidationReport:
         return ValidationReport(False, "shape", None, "rows do not match shape")
     _, rank_of, right, below, lift, starts, step = _rules(kind, t.n)
     qkind = kind in Q_KINDS
-    labels = _RULE_LABELS[kind]
+    row_weak, col_weak, col_repeat, row_repeat = _Q_LABELS if qkind else _CHAR_LABELS
     # the cell above row i's c-th cell is the (c+1)-th of the row above
     # in the shifted families, the c-th otherwise
     up_shift = 1 if qkind else 0
@@ -305,9 +308,9 @@ def validate_tableau(t: Tableau) -> ValidationReport:
                 if r < right[lr]:
                     if r < lr:
                         return ValidationReport(
-                            False, labels["row_weak"], (i, j),
+                            False, row_weak, (i, j),
                             "entries must weakly increase across rows")
-                    return ValidationReport(False, labels["row_repeat"], (i, j),
+                    return ValidationReport(False, row_repeat, (i, j),
                                             f"{e.token} may not repeat within a row")
             u = c + up_shift
             if u < len(above):
@@ -315,9 +318,9 @@ def validate_tableau(t: Tableau) -> ValidationReport:
                 if r < below[ur]:
                     if r < ur:
                         return ValidationReport(
-                            False, labels["col_weak"], (i, j),
+                            False, col_weak, (i, j),
                             "entries must weakly increase down columns")
-                    return ValidationReport(False, labels["col_repeat"], (i, j),
+                    return ValidationReport(False, col_repeat, (i, j),
                                             f"{e.token} may not repeat within a column")
             if r < low:
                 return ValidationReport(False, "T4", (i, j),
@@ -345,14 +348,10 @@ def require_valid(t: Tableau) -> None:
                          f"{report.message}")
 
 
-_RULE_LABELS = {
-    "glChar": {"row_weak": "T1", "col_weak": "T2", "col_repeat": "T3", "row_repeat": "T1"},
-    "spChar": {"row_weak": "T1", "col_weak": "T2", "col_repeat": "T3", "row_repeat": "T1"},
-    "soChar": {"row_weak": "T1", "col_weak": "T2", "col_repeat": "T3", "row_repeat": "T5"},
-    "glQ": {"row_weak": "Q1", "col_weak": "Q2", "col_repeat": "Q3", "row_repeat": "Q4"},
-    "spQ": {"row_weak": "Q1", "col_weak": "Q2", "col_repeat": "Q3", "row_repeat": "Q4"},
-    "soQ": {"row_weak": "Q1", "col_weak": "Q2", "col_repeat": "Q3", "row_repeat": "Q4"},
-}
+# the rules a cell breaks against a neighbour: row weak, column weak, column
+# repeat, row repeat; only soChar's 0 can repeat in a character row (T5)
+_CHAR_LABELS = ("T1", "T2", "T3", "T5")
+_Q_LABELS = ("Q1", "Q2", "Q3", "Q4")
 
 
 # -- enumeration ----------------------------------------------------------

@@ -90,18 +90,29 @@ def _kinds(family: tuple[str, ...], kind_filter, what: str) -> tuple[str, ...]:
     return (kind_filter,)
 
 
+def _grid(kinds, n_max: int, max_part: int, strict: bool | None = None,
+          size_max: int | None = None):
+    """(kind, n, parts) over ``kinds`` in order, n = 1..n_max, and the
+    partitions with parts <= max_part and at most n of them (strict ones
+    for the Q kinds unless ``strict`` is given), only those of size <=
+    size_max when it is given."""
+    for k in kinds:
+        s = k in Q_KINDS if strict is None else strict
+        for n in range(1, n_max + 1):
+            for lam in enumerate_partitions(max_part, n, strict=s):
+                if size_max is None or lam.size <= size_max:
+                    yield k, n, lam.parts
+
+
 # -- character route suites -------------------------------------------------
 
 
 def suite_routes(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
-                 methods=("def", "hdet", "jt", "tab")) -> SuiteReport:
+                 methods=tuple(CHAR_ROUTES)) -> SuiteReport:
     """All requested character routes agree on every (kind, n, shape)."""
-    cases = []
-    for k in _kinds(GROUP_KINDS, kind, "character"):
-        for n in range(1, n_max + 1):
-            for lam in enumerate_partitions(lambda_max, n):
-                cases.append(_route_case(k, n, lam.parts, methods))
-    return _run_cases("routes", cases)
+    kinds = _kinds(GROUP_KINDS, kind, "character")
+    return _run_cases("routes", [_route_case(k, n, parts, methods)
+                                 for k, n, parts in _grid(kinds, n_max, lambda_max)])
 
 
 def suite_jt_vs_def(n_max: int = 2, lambda_max: int = 3,
@@ -125,12 +136,9 @@ def _route_case(kind, n, parts, methods):
 
 def suite_q_routes(n_max: int = 2, lambda_max: int = 3,
                    kind: str | None = None) -> SuiteReport:
-    cases = []
-    for k in _kinds(QFUNC_KINDS, kind, "Q"):
-        for n in range(1, n_max + 1):
-            for lam in enumerate_partitions(lambda_max, n, strict=True):
-                cases.append(_q_route_case(k, n, lam.parts))
-    return _run_cases("q-routes", cases)
+    kinds = _kinds(QFUNC_KINDS, kind, "Q")
+    return _run_cases("q-routes", [_q_route_case(k, n, parts)
+                                   for k, n, parts in _grid(kinds, n_max, lambda_max)])
 
 
 def _q_route_case(kind, n, parts):
@@ -145,14 +153,10 @@ def _q_route_case(kind, n, parts):
 def suite_tokuyama(n_max: int = 2, mu_max: int = 2,
                    kind: str | None = None) -> SuiteReport:
     """Tokuyama factorisation over all mu with |mu| <= mu_max."""
-    cases = []
-    for k in _kinds(QFUNC_KINDS, kind, "Q"):
-        for n in range(1, n_max + 1):
-            for mu in enumerate_partitions(mu_max, n):
-                if mu.size > mu_max:
-                    continue
-                cases.append(_tokuyama_case(k, n, mu.parts))
-    return _run_cases("tokuyama", cases)
+    kinds = _kinds(QFUNC_KINDS, kind, "Q")
+    return _run_cases("tokuyama", [
+        _tokuyama_case(k, n, mu)
+        for k, n, mu in _grid(kinds, n_max, mu_max, strict=False, size_max=mu_max)])
 
 
 def _tokuyama_case(kind, n, mu):
@@ -318,8 +322,9 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     ``shapes`` may pin an explicit list of (kind, parts, n); otherwise the
     grid runs over partitions with parts <= lambda_max (optionally
     |shape| <= size_max).  A failing case reports the first failing check
-    in that order: weight mismatch, paths intersect, not injective,
-    diagonal steps, not a lattice path.
+    in that order: wrong number of paths (n in the character kinds, one
+    per row in the Q kinds), weight mismatch, paths intersect, not
+    injective, diagonal steps, not a lattice path.
 
     Path i and the cell weights of row i depend only on (row index, row),
     so each case checks once per distinct (row index, row, path): the
@@ -352,19 +357,11 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     cell side here) and checked for disjointness and injectivity as a
     whole."""
     kinds = _kinds(ALL_KINDS, kind, "tableau")
-    cases = []
-    if shapes is not None:
-        for k, parts, n in shapes:
-            cases.append(_lgv_case(k, tuple(parts), n))
-    else:
-        for k in kinds:
-            strict = k in Q_KINDS
-            for n in range(1, n_max + 1):
-                for lam in enumerate_partitions(lambda_max, n, strict=strict):
-                    if size_max is not None and lam.size > size_max:
-                        continue
-                    cases.append(_lgv_case(k, lam.parts, n))
-    return _run_cases("lgv", cases)
+    if shapes is None:
+        shapes = [(k, parts, n) for k, n, parts
+                  in _grid(kinds, n_max, lambda_max, size_max=size_max)]
+    return _run_cases("lgv", [_lgv_case(k, tuple(parts), n)
+                              for k, parts, n in shapes])
 
 
 def _lgv_case(kind, parts, n):
@@ -425,16 +422,19 @@ def _lgv_case(kind, parts, n):
         if parts:
             # the cell side validates on its own, as tableau_factors does
             require_valid(t)
+        if len(pt.paths) != len(t.rows) + len(pad):
+            return inputs, False, {"count": count, "reason": "wrong number of paths"}
         data = [checked.get((i, row, id(p))) or check(i, row, p)
                 for i, row, p in zip(index, t.rows + pad, pt.paths)]
         ok = all([r.ok for r in data])
-        if not ok and parts and not all(r.weight for r in data):
+        if not ok and not all(r.weight for r in data):
             # rows that differ may still make up equal tableau multisets,
             # and different multisets equal products
             factors = tableau_factors(t, vt)
             edge_ms = sorted(w for r in data for w in r.edges)
             cell_ms = sorted(filter(None, map(key, factors)))
-            if edge_ms != cell_ms and pt.weight() != reduce(mul, factors):
+            if edge_ms != cell_ms and pt.weight() != reduce(
+                    mul, factors, MultiPoly.one(vt)):
                 return inputs, False, {"count": count, "reason": "weight mismatch"}
         if not pt.non_intersecting(vertices):
             return inputs, False, {"count": count, "reason": "paths intersect"}

@@ -938,6 +938,21 @@ def test_poly_from_obj_refuses_foreign_variables():
                            "terms": [{"c": "1/1", "e": {"zz": 1}}]})
 
 
+def test_poly_from_obj_refuses_inexact_numbers():
+    vt = vartable(1, 0)
+    for e in (1.5, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            poly_from_obj(vt, {"vars": list(vt.names),
+                               "terms": [{"c": "1/1", "e": {"x1": e}}]})
+    with pytest.raises(ValueError, match="zero denominator"):
+        poly_from_obj(vt, {"vars": list(vt.names),
+                           "terms": [{"c": "1/0", "e": {}}]})
+    # an integral float names the same exponent as its int, as parts do
+    assert poly_from_obj(vt, {"vars": list(vt.names),
+                              "terms": [{"c": "1/1", "e": {"x1": 2.0}}]}) \
+        == xv(vt, 1) * xv(vt, 1)
+
+
 def test_json_bytes_stable():
     p = (xv(VT, 1) + av(VT, 1)) * (xv(VT, 2) + av(VT, 2)) - yv(VT, 3)
     assert poly_to_json(p) == poly_to_json(p + MultiPoly.zero(VT))

@@ -327,6 +327,22 @@ def test_letters_outside_the_alphabet_and_short_rows():
                           "cells": [["1"]]})
 
 
+def test_entry_from_token_refuses_inexact_tokens():
+    # a token is read only if it is exactly the token of the letter it names
+    for token in ("01", " 1", "+1", "1_0", "1 bar", "01prime"):
+        with pytest.raises(ValueError, match="bad entry token"):
+            entry_from_token(token)
+
+
+def test_tableau_from_obj_refuses_a_non_integer_rank():
+    with pytest.raises(ValueError, match="not an integer"):
+        tableau_from_obj({"kind": "glChar", "shape": [1], "n": 2.7,
+                          "cells": [["1"]]})
+    # an integral float names the same rank as its int, as parts do
+    assert tableau_from_obj({"kind": "glChar", "shape": [1], "n": 2.0,
+                             "cells": [["1"]]}).n == 2
+
+
 def _fillings(kind, n, shape):
     alpha = alphabet(kind, n)
     for combo in product(alpha, repeat=sum(shape)):

@@ -405,6 +405,63 @@ def test_lgv_reports_a_diagonal_step_in_an_empty_row(monkeypatch, kind):
     assert rep.cases[0].detail == {"count": 1, "reason": "diagonal steps"}
 
 
+def _with_paths(monkeypatch, change):
+    """``verify.tableau_to_paths`` handing out ``change(t, paths)`` in
+    place of each tableau's paths."""
+    real = verify.tableau_to_paths
+
+    def to_paths(t, vt, *memo):
+        pt = real(t, vt, *memo)
+        return replace(pt, paths=change(t, pt.paths))
+
+    monkeypatch.setattr(verify, "tableau_to_paths", to_paths)
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar"])
+def test_lgv_reports_the_empty_rows_paths_missing(monkeypatch, kind):
+    # the paths of the rows below the shape are dropped; every path left
+    # still matches its row
+    _with_paths(monkeypatch, lambda t, paths: paths[:len(t.rows)])
+    rep = suite_lgv(shapes=[(kind, (2, 1), 3)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "wrong number of paths"}
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar",
+                                  "glQ", "spQ", "soQ"])
+def test_lgv_reports_an_extra_path(monkeypatch, kind):
+    # a copy of the last path, 100 columns to the right, so it meets no
+    # other path
+    def far(p):
+        def shift(v):
+            return (v[0], v[1] + 100)
+
+        return Path(shift(p.start), shift(p.end),
+                    tuple(Edge(shift(e.frm), shift(e.to), e.kind, e.weight)
+                          for e in p.edges))
+
+    _with_paths(monkeypatch, lambda t, paths: paths + (far(paths[-1]),))
+    rep = suite_lgv(shapes=[(kind, (2, 1), 3)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "wrong number of paths"}
+
+
+@pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar"])
+def test_lgv_weighs_the_empty_shape(monkeypatch, kind):
+    # an empty row's V steps weigh x1 instead of 1, so the empty tableau's
+    # paths no longer weigh 1
+    real = lattice._row_path
+
+    def heavy(kind, n, i, row, vt):
+        p = real(kind, n, i, row, vt)
+        if row:
+            return p
+        return Path(p.start, p.end, tuple(Edge(e.frm, e.to, e.kind, xv(vt, 1))
+                                          for e in p.edges))
+
+    monkeypatch.setattr(lattice, "_row_path", heavy)
+    rep = suite_lgv(shapes=[(kind, (), 2)])
+    assert rep.cases[0].detail == {"count": 1, "reason": "weight mismatch"}
+
+
 # -- caches the benchmark can clear ---------------------------------------------
 
 F_DIFF = ("verify", "--suite", "f-diff", "--n-max", "2", "--m-max", "3")
