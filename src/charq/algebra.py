@@ -80,12 +80,6 @@ _GUARD = 1 << (WIDTH - 1)
 _FIELD = (1 << WIDTH) - 1
 
 
-# Determinants switch from cofactor expansion to fraction-free elimination
-# above this size; cofactor wins on the small sparse symbolic matrices that
-# dominate this package, Bareiss bounds intermediate swell beyond that.
-COFACTOR_MAX = 6
-
-
 _VT_CACHE: dict[tuple[int, int], "VarTable"] = {}
 
 
@@ -290,7 +284,7 @@ def _add_products(vt: VarTable, dst: dict, products) -> dict:
     finished sum once with ``_check_keys``.  ``dst`` is empty or holds
     valid keys, and belongs to the caller as ``_merge_rows`` requires; use
     the returned dict.  The operands are left unchanged.  Callers:
-    ``MultiPoly.__mul__``, the cofactor and Bareiss determinants,
+    ``MultiPoly.__mul__``, the determinant's cofactor sums,
     ``specialize``, the parameter sum of ``gf_coeff`` and the buckets and
     total of ``tableaux.tableau_weight_sum``.
 
@@ -630,30 +624,25 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
 def determinant(rows, *, vt: VarTable | None = None) -> MultiPoly:
     """Exact determinant of a square matrix of MultiPoly.
 
-    Cofactor expansion along the sparsest row up to COFACTOR_MAX, Bareiss
-    fraction-free elimination beyond.  The empty matrix has determinant 1
-    (pass ``vt`` so the result knows its ring).  Each cofactor sum and
-    each Bareiss numerator accumulates its products into one term dict
+    Cofactor expansion along the sparsest row, at every size; zero entries
+    are skipped, and the matrices of this package are mostly zero.  The
+    empty matrix has determinant 1 (pass ``vt`` so the result knows its
+    ring).  Each cofactor sum accumulates its products into one term dict
     (``_add_products``), so products whose terms leave the exponent range
     but cancel completely give an exact zero; a surviving one raises
     ExponentOverflow.
     """
     k = len(rows)
-    for row in rows:
-        if len(row) != k:
-            raise ValueError("determinant needs a square matrix")
+    if any(len(row) != k for row in rows):
+        raise ValueError("determinant needs a square matrix")
     if k == 0:
         if vt is None:
             raise ValueError("empty matrix: pass vt to fix the ring")
         return MultiPoly.one(vt)
     v0 = rows[0][0].vt
-    for row in rows:
-        for e in row:
-            if e.vt is not v0:
-                raise VarTableMismatch("matrix entries use different variable tables")
-    if k <= COFACTOR_MAX:
-        return _det_cofactor(rows, v0)
-    return _det_bareiss(rows, v0)
+    if any(e.vt is not v0 for row in rows for e in row):
+        raise VarTableMismatch("matrix entries use different variable tables")
+    return _det_cofactor(rows, v0)
 
 
 def _det_cofactor(rows, vt) -> MultiPoly:
@@ -676,6 +665,9 @@ def _det_cofactor(rows, vt) -> MultiPoly:
 
 
 def _det_bareiss(rows, vt) -> MultiPoly:
+    """Bareiss fraction-free elimination, called by nothing in the package:
+    the tests' independent reference for cofactor expansion, kept while
+    the benchmark's tracer counts its calls by name, and deleted with it."""
     k = len(rows)
     m = [list(row) for row in rows]
     sign = 1
@@ -1100,17 +1092,16 @@ def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
     """Inverse of poly_to_obj.  Refuses what poly_to_obj never writes and
     the constructors never build: a negative exponent on an a or t
     variable, an exponent that is not an integer (2.0 and True pass as
-    2 and 1, as parts do), a zero denominator, and a monomial listed
-    twice (ValueError)."""
+    2 and 1, as parts do), a coefficient other than the "num/den" text of
+    a nonzero value, and a monomial listed twice (ValueError)."""
     if list(obj.get("vars", [])) != list(vt.names):
         raise VarTableMismatch("serialised variable list does not match table")
     terms = {}
     for t in obj["terms"]:
-        num, _, den = t["c"].partition("/")
-        den = int(den or "1")
-        if not den:
-            raise ValueError(f"coefficient {t['c']!r} has a zero denominator")
-        coeff = Fraction(int(num), den)
+        try:
+            coeff = Fraction(t["c"])
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {t['c']!r} has a zero denominator") from None
         mono = [0] * vt.size
         for name, e in t["e"].items():
             pos = vt.index.get(name)
@@ -1119,11 +1110,14 @@ def poly_from_obj(vt: VarTable, obj: dict) -> MultiPoly:
             mono[pos] = int(e)
             if mono[pos] != e:
                 raise ValueError(f"exponent {e!r} of {name} is not an integer")
-        mono = tuple(mono)
-        if mono in terms:
+        key = vt.pack(mono)
+        if key in terms:
             raise ValueError(f"monomial {t['e']} is listed twice")
-        terms[mono] = coeff
-    return MultiPoly(vt, terms)
+        if not coeff or t["c"] != f"{coeff.numerator}/{coeff.denominator}":
+            raise ValueError(f"coefficient {t['c']!r} is not the text of a "
+                             "nonzero reduced fraction")
+        terms[key] = _canon_coeff(coeff)
+    return _poly(vt, terms)
 
 
 def poly_from_json(vt: VarTable, text: str) -> MultiPoly:

@@ -39,14 +39,22 @@ class SpecError(Exception):
     """Invalid job specification (maps to exit code 2)."""
 
 
+def _integer(text: str) -> int:
+    """An integer only as ``str`` writes it: no plus sign, space,
+    underscore, leading zero or non-ASCII digit."""
+    if not text.removeprefix("-").isdecimal() or str(int(text)) != text:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_parts(text: str | None) -> tuple[int, ...]:
     """Comma-separated integers; an empty argument is the empty partition,
     an empty field anywhere else is refused."""
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise SpecError(f"bad partition {text!r}: expected comma-separated integers")
 
 
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--kind", required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_integer, required=True)
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated parts; empty for the empty partition")
         p.add_argument("--a", choices=("symbolic", "zero"), default="symbolic")
@@ -231,12 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help=f"one of {', '.join(SUITES)} or 'all'")
     p.add_argument("--kind", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_integer, default=None)
     p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--lambda-max", type=int, default=None)
-    p.add_argument("--mu-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    for bound in ("--n-max", "--lambda-max", "--mu-max", "--m-max"):
+        p.add_argument(bound, type=_integer, default=None)
     p.add_argument("--out", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
     return ap

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charq import algebra, cli
-from charq.algebra import (BIAS, COFACTOR_MAX, AIndexOutOfRange,
+from charq.algebra import (BIAS, AIndexOutOfRange,
                            ExponentOverflow, MultiPoly, NonExactDivision,
                            NonInvertibleBinding, TruncatedSeries, VarTable,
                            VarTableMismatch, add_a, at_a_zero, av, determinant,
@@ -375,17 +375,30 @@ def test_bareiss_matches_cofactor(k, data):
     assert algebra._det_cofactor(rows, VT) == perm_determinant(rows, VT)
 
 
-def test_cofactor_switch_constant():
-    assert COFACTOR_MAX == 6
-
-
-def test_large_matrix_takes_bareiss_path():
-    # 7x7 is past COFACTOR_MAX, so it goes through fraction-free elimination
+def test_seven_by_seven_determinant_matches_permutation_sum():
+    # 7x7 is expanded by cofactors like every other size
     k = 7
     rows = [[MultiPoly.const(VT, (3 * i + 5 * j + i * j) % 7 - 3) +
              MultiPoly.const(VT, (i * i + j) % 3) * xv(VT, (i + j) % 2 + 1)
              for j in range(k)] for i in range(k)]
     assert determinant(rows) == perm_determinant(rows, VT)
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_determinant_expands_by_cofactors_at_every_size(k, monkeypatch):
+    rows = [[MultiPoly.const(VT, (3 * i + 5 * j + i * j) % 7 - 3) +
+             MultiPoly.const(VT, (i * i + j) % 3) * xv(VT, (i + j) % 2 + 1)
+             for j in range(k)] for i in range(k)]
+    want = algebra._det_bareiss(rows, VT)
+
+    def refuse(rows, vt):
+        raise AssertionError("determinant took fraction-free elimination")
+
+    monkeypatch.setattr(algebra, "_det_bareiss", refuse)
+    got = determinant(rows)
+    assert got == want
+    if k == 7:
+        assert got == perm_determinant(rows, VT)
 
 
 # -- sums of products -----------------------------------------------------------
@@ -431,11 +444,12 @@ def test_determinant_with_two_equal_rows_is_exactly_zero():
     s = [yv(VT, 2), _x(1, -2) + av(VT, 2), MultiPoly.const(VT, Fraction(1, 2))]
     assert determinant([r, s, r]).terms == {}
     assert determinant([r[:2], r[:2]]).terms == {}
-    k = COFACTOR_MAX + 1
+    k = 7
     big = [[xv(VT, (i + j) % 3 + 1) + MultiPoly.const(VT, i * j % 5)
             for j in range(k)] for i in range(k)]
     big[3] = list(big[1])
     assert algebra._det_bareiss(big, VT).terms == {}
+    assert determinant(big).terms == {}
 
 
 def test_out_of_range_products_that_survive_raise():
@@ -951,6 +965,26 @@ def test_poly_from_obj_refuses_inexact_numbers():
     assert poly_from_obj(vt, {"vars": list(vt.names),
                               "terms": [{"c": "1/1", "e": {"x1": 2.0}}]}) \
         == xv(vt, 1) * xv(vt, 1)
+
+
+def test_poly_from_obj_reads_only_written_coefficients():
+    vt = vartable(1, 0)
+
+    def read(c):
+        return poly_from_obj(vt, {"vars": list(vt.names),
+                                  "terms": [{"c": c, "e": {"x1": 1}}]})
+
+    # Fraction() reads each of these; poly_to_obj writes none of them
+    for c in ("1_0/1", " 1/1", "+1/1", "1/1 ", "1/0_3", "2/4", "1", "0/1",
+              "-0/1"):
+        with pytest.raises(ValueError, match="nonzero reduced fraction"):
+            read(c)
+    for c in ("1/-2", "", "/1", "1/"):
+        with pytest.raises(ValueError):
+            read(c)
+    for c in (Fraction(1), Fraction(-3, 2), Fraction(10, 7)):
+        text = f"{c.numerator}/{c.denominator}"
+        assert read(text) == MultiPoly.const(vt, c) * xv(vt, 1)
 
 
 def test_json_bytes_stable():

@@ -371,6 +371,15 @@ def test_four_routes_agree_at_n4_2211(kind):
     assert char_combinatorial(kind, lam, vt) == jt
 
 
+@pytest.mark.parametrize("kind, lam, n", [
+    ("gl", (3, 2, 1), 7), ("gl", (1,) * 8, 8), ("sp", (2, 1), 7),
+    ("so", (2, 1), 7)])
+def test_jt_matches_tab_past_rank_six(kind, lam, n):
+    # jt takes a determinant of size n, expanded by cofactors like any other
+    vt = vartable_for(n, lam[0])
+    assert char_flagged_jt(kind, lam, vt) == char_combinatorial(kind, lam, vt)
+
+
 @pytest.fixture
 def fresh_ratio_cache():
     _ratio_denominator.cache_clear()

@@ -532,3 +532,35 @@ def test_closed_pipe_exits_quietly():
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+# no integer is written so by str; int() reads all of these but "1.0"
+NOT_INTEGERS = ("1_0", "+1", " 1", "1 ", "\u0661", "01", "-0", "1.0")
+
+
+def test_partition_fields_are_read_exactly(capsys):
+    for text in NOT_INTEGERS:
+        for argv in (("char", "--kind", "gl", "--n", "1", f"--lambda={text}"),
+                     ("char", "--kind", "gl", "--n", "2", f"--lambda=2,{text}"),
+                     ("verify", "--suite", "lgv", "--kind", "glChar", "--n", "1",
+                      f"--lambda={text},1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "bad partition" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--kind", "gl", "--lambda", "1", "--n"),
+    ("tableaux", "--kind", "glChar", "--lambda", "1", "--count", "--n"),
+    ("verify", "--suite", "lgv", "--kind", "glChar", "--lambda", "1", "--n"),
+    ("verify", "--suite", "routes", "--n-max"),
+    ("verify", "--suite", "routes", "--lambda-max"),
+    ("verify", "--suite", "tokuyama", "--mu-max"),
+    ("verify", "--suite", "h-diff", "--m-max"),
+])
+def test_integer_flags_are_read_exactly(capsys, argv):
+    for text in NOT_INTEGERS:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-1], f"{argv[-1]}={text}"])
+        assert exc.value.code == 2
+        assert "is not an integer" in capsys.readouterr().err, text
