@@ -15,11 +15,13 @@ factorial parameters a_k:
   divided exactly by the Weyl-denominator factors (``ratio_factors``)
   and the reduced matrix's determinant is the result, so the expanded
   numerator is never divided.  The result is |num|/|den| exactly: the
-  denominator determinant is built from its own matrix and checked equal
-  to the product of those factors (AlgebraError otherwise), and every
+  denominator's own columns are reduced by the same factors and pass only
+  when the reduced determinant is 1 (AlgebraError otherwise), and every
   entry division must leave no remainder (NonExactDivision otherwise).
   Each reduced column depends on one order m only, so it is reduced once
-  and kept beside the checked factors it was divided by.
+  and kept beside the checked factors it was divided by.  def and hdet
+  reduce to the same matrix, and share a determinant only when their
+  reduced matrices are equal entry by entry.
 * ``char_flagged_jt``    -- flagged Jacobi-Trudi determinant, division
   free; the default route.
 * ``char_combinatorial`` -- weighted sum over the kind's tableaux.
@@ -30,14 +32,14 @@ multi-index sum for one-row shapes.
 
 Everything here is a pure function of immutable values.  The h cache is
 keyed by (kind, m, alphabet range, table); the checked ratio factors and
-the columns reduced by them share one entry per (kind, table, route), so
-a cached value is the value a fresh computation would give.
+the columns reduced by them share one entry per (kind, table, route), and
+the last reduced matrix of a table is kept with its determinant, so a
+cached value is the value a fresh computation would give.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 
 from .algebra import (AIndexOutOfRange, AlgebraError, MultiPoly, VarTable,
                       add_a, av, check_a_range, determinant, exact_div,
@@ -155,53 +157,22 @@ def ratio_factors(kind: str, vt: VarTable, route: str):
     return scales, pairs
 
 
-@lru_cache(maxsize=None)
-def _ratio_denominator(kind: str, vt: VarTable, route: str):
-    """``ratio_factors`` of the route, checked, and the route's reduced
-    numerator columns, as (scales, pairs, columns).
-
-    The denominator determinant, built from the route's own matrix
-    |entry(n - j, i)|, must equal the factors' product, else AlgebraError
-    and no entry.  ``columns`` starts empty; ``_det_ratio`` fills it with
-    one reduced column per order m.  Factors and columns share the entry
-    per (kind, table, route), so a column is only ever reduced by the
-    factors checked here, and ``cache_clear`` drops both together.
-    """
-    n = vt.n
-    entry = _RATIO_ENTRIES[route]
-    den = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
-                       for i in range(1, n + 1)], vt=vt)
-    scales, pairs = ratio_factors(kind, vt, route)
-    if den != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
-        raise AlgebraError(f"{route} denominator of kind {kind!r}, n={n} is "
-                           "not the product of its Weyl factors")
-    return scales, pairs, {}
-
-
-def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
-    """|entry(lam_j + n - j, i)| / |entry(n - j, i)|, exactly.
-
-    The expanded numerator is never divided.  Each numerator row i is a
-    function of x_i alone (of x_i + xbar_i for sp/so once row-scaled), so
-    the quotient is the determinant of its Newton divided differences:
-    divide row i by its row scale, then for k = 1..n-1 and i = n down to
-    k+1 replace R_i by (R_i - R_{i-1}) / p(i-k, i).  Subtracting rows
-    keeps the determinant, and every pair (a, b), a < b, divides exactly
-    one row once, so |R| = |num| / (row scales * prod p) = |num| / |den|,
-    the factors' orientation matching the denominator's sign.  The
-    factors come from ``_ratio_denominator``, which checks their product
-    against the denominator determinant (AlgebraError on a mismatch); each
+def _reduced(kind: str, orders, vt: VarTable, route: str, scales, pairs,
+             columns) -> list:
+    """The matrix of the route's columns of the given orders, each reduced
+    by Newton divided differences over (scales, pairs) and kept in
+    ``columns``: divide row i by its row scale, then for k = 1..n-1 and
+    i = n down to k+1 replace R_i by (R_i - R_{i-1}) / p(i-k, i).  Every
     entry division is exact_div, so a remainder raises NonExactDivision.
 
-    The row operations act on each column alone, and column j depends on
-    m = lam_j + n - j only, so each column is reduced once per
-    (kind, table, route) and kept in the ``columns`` dict of that
-    ``_ratio_denominator`` entry, next to the factors it was divided by.
+    Subtracting rows keeps the determinant, and every pair (a, b), a < b,
+    divides exactly one row once, so the reduced matrix's determinant is
+    the entry matrix's divided by the row scales and the pair factors.
+    The row operations act on each column alone, and a column depends on
+    its order m only, so a column already in ``columns`` is not reduced
+    again.
     """
-    parts = _check_partition(kind, lam, vt)
     n = vt.n
-    orders = [m + n - j for j, m in enumerate(_padded(parts, n), 1)]
-    scales, pairs, columns = _ratio_denominator(kind, vt, route)
     entry = _RATIO_ENTRIES[route]
     for m in [m for m in orders if m not in columns]:
         col = [entry(kind, m, i, vt) for i in range(1, n + 1)]
@@ -212,7 +183,71 @@ def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
                 col[i - 1] = exact_div(col[i - 1] - col[i - 2],
                                        pairs[i - k, i])
         columns[m] = tuple(col)
-    return determinant(list(zip(*(columns[m] for m in orders))), vt=vt)
+    return list(zip(*(columns[m] for m in orders)))
+
+
+@lru_cache(maxsize=None)
+def _ratio_denominator(kind: str, vt: VarTable, route: str):
+    """``ratio_factors`` of the route, checked, and the route's reduced
+    columns, as (scales, pairs, columns).
+
+    The route's own denominator columns |entry(n - j, i)| (orders n-1..0)
+    are reduced by ``_reduced`` over the factors, and the reduced matrix's
+    determinant must be exactly 1, else AlgebraError and no entry.  The
+    reduction divides |den| by the factors' product, so once every
+    division is exact this says that the denominator is that product,
+    sign included; the reduced matrix is anti-triangular, so its
+    determinant costs almost nothing.  ``columns`` keeps one reduced
+    column per order m, the denominator's first, and ``_det_ratio`` adds
+    the numerator's.  Factors and columns share the entry per (kind,
+    table, route), so a column is only ever reduced by the factors checked
+    here, and ``cache_clear`` drops both together.
+    """
+    n = vt.n
+    scales, pairs = ratio_factors(kind, vt, route)
+    columns = {}
+    den = _reduced(kind, range(n - 1, -1, -1), vt, route, scales, pairs,
+                   columns)
+    if determinant(den, vt=vt) != MultiPoly.one(vt):
+        raise AlgebraError(f"{route} denominator of kind {kind!r}, n={n} is "
+                           "not the product of its Weyl factors")
+    return scales, pairs, columns
+
+
+@lru_cache(maxsize=None)
+def _last_det(vt: VarTable) -> list:
+    """One slot holding (matrix, determinant) of the last reduced matrix
+    ``_det_ratio`` expanded on this table, None before the first."""
+    return [None]
+
+
+def _det_ratio(kind: str, lam, vt: VarTable, route: str) -> MultiPoly:
+    """|entry(lam_j + n - j, i)| / |entry(n - j, i)|, exactly.
+
+    The expanded numerator is never divided.  Each numerator row i is a
+    function of x_i alone (of x_i + xbar_i for sp/so once row-scaled), so
+    the quotient is the determinant of its Newton divided differences
+    (``_reduced``), the factors' orientation matching the denominator's
+    sign.  The factors and the reduced columns come from
+    ``_ratio_denominator``, whose denominator passes only when its reduced
+    determinant is 1 (AlgebraError otherwise).
+
+    def and hdet reduce to the same matrix (the row-scaled shifted powers
+    are the one-variable h values), so the last reduced matrix of the
+    table and its determinant are kept in ``_last_det``; the kept value is
+    returned only when the new reduced matrix equals the kept one entry by
+    entry, so a route shares a determinant only with an identical input.
+    """
+    parts = _check_partition(kind, lam, vt)
+    n = vt.n
+    orders = [m + n - j for j, m in enumerate(_padded(parts, n), 1)]
+    matrix = _reduced(kind, orders, vt, route,
+                      *_ratio_denominator(kind, vt, route))
+    slot = _last_det(vt)
+    kept = slot[0]
+    if kept is None or kept[0] != matrix:
+        kept = slot[0] = matrix, determinant(matrix, vt=vt)
+    return kept[1]
 
 
 def char_definitional(kind: str, lam, vt: VarTable) -> MultiPoly:

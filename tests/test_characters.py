@@ -380,6 +380,17 @@ def test_jt_matches_tab_past_rank_six(kind, lam, n):
     assert char_flagged_jt(kind, lam, vt) == char_combinatorial(kind, lam, vt)
 
 
+@pytest.mark.parametrize("kind, lam", [
+    ("gl", (1,)), ("sp", (1,)), ("so", (1,)), ("sp", (2, 1))], ids=str)
+def test_ratio_routes_match_jt_past_rank_six(kind, lam):
+    # the denominator is checked on its reduced, anti-triangular matrix,
+    # so no dense 7 x 7 determinant is expanded
+    vt = vartable_for(7, lam[0])
+    jt = char_flagged_jt(kind, lam, vt)
+    assert char_definitional(kind, lam, vt) == jt
+    assert char_hdet(kind, lam, vt) == jt
+
+
 @pytest.fixture
 def fresh_ratio_cache():
     _ratio_denominator.cache_clear()
@@ -488,3 +499,80 @@ def test_each_ratio_column_is_reduced_once_per_table(fresh_ratio_cache,
             assert route(kind, lam, vt) == expected[route, lam]
         counts.append(len(divisions))
     assert counts == [len(orders) * per_column] * 2
+
+
+def _one_pair_doubled(kind, a, b, vt):
+    p = weyl_factor(kind, a, b, vt)
+    return p + p if (a, b) == (1, 2) else p
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+@pytest.mark.parametrize("route", [char_definitional, char_hdet],
+                         ids=lambda v: v.__name__)
+def test_a_doubled_factor_fails_the_reduced_denominator(
+        fresh_ratio_cache, monkeypatch, route, kind):
+    # every division by 2 p(1, 2) is exact, so only the reduced
+    # denominator's determinant, 1/2, can catch it
+    monkeypatch.setattr(characters, "weyl_factor", _one_pair_doubled)
+    with pytest.raises(AlgebraError) as err:
+        route(kind, (2, 1), vartable_for(2, 2))
+    assert not isinstance(err.value, NonExactDivision)
+    assert fresh_ratio_cache.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_row_scaled_def_entry_is_h_one_var(kind):
+    # the identity that makes def and hdet reduce to one matrix
+    checked = 0
+    for n in range(1, 5):
+        vt = vartable_for(n, 3)
+        scales = ratio_factors(kind, vt, "def")[0] or [MultiPoly.one(vt)] * n
+        for m in range(n + 3):
+            for i in range(1, n + 1):
+                assert exact_div(_def_entry(kind, m, i, vt), scales[i - 1]) \
+                    == h_one_var(kind, m, i, vt)
+                checked += 1
+    assert checked == 60
+
+
+@pytest.fixture
+def fresh_ratio_caches(fresh_ratio_cache):
+    characters._last_det.cache_clear()
+    yield fresh_ratio_cache
+    characters._last_det.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_hdet_shares_no_determinant_with_a_different_matrix(
+        fresh_ratio_caches, monkeypatch, kind):
+    # hdet's columns of order m >= n doubled: its denominator (orders < n)
+    # still passes, and a memo keyed by (kind, table, orders) rather than by
+    # the reduced matrix would return def's value
+    n = 3
+
+    def doubled(kind, m, i, vt):
+        h = h_one_var(kind, m, i, vt)
+        return h + h if m >= n else h
+
+    monkeypatch.setitem(characters._RATIO_ENTRIES, "hdet", doubled)
+    vt = vartable_for(n, 2)
+    value = char_definitional(kind, (2, 1), vt)
+    assert char_hdet(kind, (2, 1), vt) == value + value
+
+
+@pytest.mark.parametrize("kind", ["gl", "sp", "so"])
+def test_def_then_hdet_take_one_numerator_determinant(
+        fresh_ratio_caches, monkeypatch, kind):
+    vt = vartable_for(3, 2)
+    for route in ("def", "hdet"):
+        _ratio_denominator(kind, vt, route)
+    sizes = []
+
+    def counted(rows, *, vt=None):
+        sizes.append(len(rows))
+        return determinant(rows, vt=vt)
+
+    monkeypatch.setattr(characters, "determinant", counted)
+    for lam in [(2, 1), (2,), (1, 1)]:
+        assert char_definitional(kind, lam, vt) == char_hdet(kind, lam, vt)
+    assert sizes == [3, 3, 3]
