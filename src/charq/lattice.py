@@ -15,21 +15,22 @@ tuples, and the paths of one tuple share no lattice vertex.
 
 One walker, ``tableau_to_paths``, draws every family: it places each
 path's start point, runs one loop over the row's letters, and drops the
-path to the bottom level.  One function, ``_edge_weight``, gives every
-H, D and C weight.  Each weighs one factor v + a_k, v - a_k or 1 - a_k
-(v one of x_i, xbar_i, y_i, ybar_i; a_k = 0 for k <= 0), and so does
-every cell of a tableau: the image of a tableau carries the factors of
-its cells.  Both sides build their factors with the cached
-``algebra.linear_factor``, so equal factors are one shared object, and
-the unit V weight is that constructor's constant 1.  The edge weights
-read their index k off the step's lattice position, not off the cell
-(``tableaux.cell_weight``), so the two are independent statements of the
-weights, which ``verify.suite_lgv`` compares.  Edges are named tuples,
-the cheapest immutable record to build per step, and only this module
-relies on the order of their fields; the walker builds its ``Path`` and
-``PathTuple`` records straight into their instance dicts (``_path``,
-``_path_tuple``), skipping the frozen dataclass ``__init__`` but giving
-the same records.
+path to the bottom level; a marked letter (``Entry.marked``) takes a D
+step, every other one an H step.  One function, ``_edge_weight``, gives
+every H, D and C weight: the factor of the letter the step places,
+``tableaux.letter_factor`` (v + a_k, v - a_k or 1 - a_k, v one of x_i,
+xbar_i, y_i, ybar_i; a_k = 0 for k <= 0), which also weighs every cell
+of a tableau, so the image of a tableau carries the factors of its
+cells, and equal factors are one shared object.  The unit V weight is
+the constant 1 of the cached ``algebra.linear_factor``.  The edge
+weights read their index k off the step's lattice position, not off the
+cell (``tableaux.cell_weight``), so the two index rules are independent
+statements of the weights, which ``verify.suite_lgv`` compares.  Edges
+are named tuples, the cheapest immutable record to build per step, and
+only this module relies on the order of their fields; the walker builds
+its ``Path`` and ``PathTuple`` records straight into their instance
+dicts (``_path``, ``_path_tuple``), skipping the frozen dataclass
+``__init__`` but giving the same records.
 
 The JSON text of a tableau, of a path tuple and of one ``tableaux
 --paths`` line is laid out here and nowhere else: ``tableau_line`` writes
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algebra import MultiPoly, VarTable, linear_factor, poly_to_obj
-from .tableaux import Q_KINDS, Entry, Tableau, require_valid
+from .tableaux import Q_KINDS, Entry, Tableau, letter_factor, require_valid
 
 
 class Edge(NamedTuple):
@@ -272,23 +273,20 @@ def _drop(edges: list, level: int, col: int, to: int, one: MultiPoly) -> None:
 def _edge_weight(kind: str, n: int, e: Entry, level: int, col: int,
                  vt: VarTable) -> MultiPoly:
     """Weight of the H, D or C step that places letter ``e``, leaving
-    ``level`` and ending in column ``col``: its variable (x, xbar, y,
-    ybar, or 1 for the zero letters) shifted by -a_k for primed and zero
-    letters and by +a_k otherwise.  The index k is read off the step's
+    ``level`` and ending in column ``col``: the letter's factor
+    (``tableaux.letter_factor``) at an index k read off the step's
     lattice position: col - 1 on the Q side, and level + col less a
-    per-kind origin on the character side."""
+    per-kind origin on the character side.  ValueError for an unknown
+    kind."""
     if kind in Q_KINDS:
         k = col - 1
     elif kind == "glChar":
         k = level + col - n - 1
-    else:
+    elif kind in ("spChar", "soChar"):
         k = level + col - 2 * n - (kind == "spChar")
-    if e.zero:
-        return linear_factor(vt, None, 0, k, -1)
-    exp = -1 if e.barred else 1
-    if e.primed:
-        return linear_factor(vt, vt.y_pos(e.k), exp, k, -1)
-    return linear_factor(vt, vt.x_pos(e.k), exp, k, 1)
+    else:
+        raise ValueError(f"unknown tableau kind {kind!r}")
+    return letter_factor(vt, e, k)
 
 
 def tableau_to_paths(t: Tableau, vt: VarTable,
@@ -300,8 +298,8 @@ def tableau_to_paths(t: Tableau, vt: VarTable,
     the Q side it starts on the left edge at level d (2d - 1/2 for
     spQ/soQ), d the diagonal letter's index, and a C step carries that
     letter's bare variable to its level in column 1.  Each further letter
-    moves one column right: unprimed letters by an H step on their level,
-    primed and zero letters by a D step from the level above theirs.
+    moves one column right: an unmarked letter by an H step on its level,
+    a marked one (primed or zero) by a D step from the level above its own.
     Every path ends with V steps down to the bottom level.
 
     Path i depends on nothing but (kind, n, i, row i, vt), so each row's
@@ -341,7 +339,7 @@ def _row_path(kind: str, n: int, i: int, row: tuple[Entry, ...],
         edges = []
     for e in row:
         lv = _level(kind, e, n)
-        diagonal = e.primed or e.zero
+        diagonal = e.marked
         frm = lv - 1 if diagonal else lv
         _drop(edges, level, col, frm, one)
         edges.append(Edge((2 * frm, col), (2 * lv, col + 1),

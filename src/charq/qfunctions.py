@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, VarTableMismatch,
-                      a_shifted_down, check_a_range, determinant, gf_coeff,
-                      xbar, xv, ybar, yv)
+from .algebra import (AIndexOutOfRange, MultiPoly, VarTable, a_shifted_down,
+                      check_a_range, determinant, gf_coeff, xbar, xv, ybar, yv)
 from .characters import TABLEAU_KIND, char_flagged_jt
 from .tableaux import Q_KINDS as QFUNC_KINDS, check_shape, tableau_weight_sum
 
@@ -101,16 +100,6 @@ def f_mpqn(kind: str, m: int, p: int, q: int, vt: VarTable) -> MultiPoly:
         linear.append(MultiPoly.one(vt))
     limit = m + q - p - 1 if kind == "soQ" else m + q - p
     return gf_coeff(m, geometric, linear, limit, vt)
-
-
-def shift_a_down(p: MultiPoly, vt: VarTable) -> MultiPoly:
-    """Substitute a_k -> a_{k-1} (with a_0 = 0) throughout: terms with a_1
-    vanish and the rest are relabelled in one pass over their packed keys
-    (``algebra.a_shifted_down``), with no expansion.  VarTableMismatch if
-    p is not over vt."""
-    if p.vt is not vt:
-        raise VarTableMismatch("polynomial uses a different variable table")
-    return a_shifted_down(p)
 
 
 # -- determinantal route ------------------------------------------------------
@@ -200,7 +189,7 @@ def verify_tokuyama(kind: str, mu, vt: VarTable) -> TokuyamaReport:
     lhs = q_tableaux(kind, lam, vt)
     rhs = char_flagged_jt(CHAR_KIND[kind], mu_parts, vt)
     if kind == "soQ":
-        rhs = shift_a_down(rhs, vt)
+        rhs = a_shifted_down(rhs)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             rhs = rhs * prefactor(kind, i, j, vt)

@@ -12,19 +12,26 @@ kind draws entries from its own ordered alphabet:
     spQ      1' < 1 < 1bar' < 1bar < ... < n' < n < nbar' < nbar
     soQ      spQ alphabet followed by 0'
 
-Entries weakly increase along rows and down columns.  A marked letter (a
-primed letter in the Q families, the 0 of soChar) may not repeat in a
-row but may repeat in a column; every other letter does the reverse.
-Each family's rules are built once per rank n into one rule record of
-per-rank tables (_Rules), which enumeration, the fused weighted sum and
-validation all read.  Weights and the diagram geometry follow the
-conventions listed with each public function.  Everything here is exact:
-weights are MultiPoly values over a shared VarTable.
+Entries weakly increase along rows and down columns.  A marked letter
+(``Entry.marked``: a primed or a zero letter, so the primed letters of
+the Q families and the 0 of soChar) may not repeat in a row but may
+repeat in a column; every other letter does the reverse.  Each family's
+rules are built once per rank n into one rule record of per-rank tables
+(_Rules), which enumeration, the fused weighted sum and validation all
+read.  Each letter weighs one linear factor, ``letter_factor(vt, e, k)``,
+which serves the cell weights here and the edge weights of the lattice
+paths alike; only the index k is found apart, from the cell here
+(``cell_weight``) and from the step's lattice position there
+(``lattice._edge_weight``), so the two stay independent statements of
+the weights.  The diagram geometry follows the conventions listed with
+each public function.  Everything here is exact: weights are MultiPoly
+values over a shared VarTable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, NamedTuple
 
@@ -46,7 +53,8 @@ _LETTERS: dict[tuple[int, bool, bool, bool], "Entry"] = {}
 
 class Entry:
     """One alphabet letter: letter index k (0 for the zero letters),
-    barred/primed markers, and the zero flag.
+    barred/primed markers, the zero flag, and ``marked`` (primed or zero:
+    the letters of the marked rule, module docstring).
 
     Letters are interned like ``VarTable``: ``Entry(k, barred, primed,
     zero)`` returns the one letter for those values (flags normalised to
@@ -54,7 +62,7 @@ class Entry:
     rank lookup and row key.  Fields are set once; pickle and copy go
     through the constructor and keep the interned object."""
 
-    __slots__ = ("k", "barred", "primed", "zero")
+    __slots__ = ("k", "barred", "primed", "zero", "marked")
 
     def __new__(cls, k: int, barred: bool = False, primed: bool = False,
                 zero: bool = False):
@@ -62,7 +70,8 @@ class Entry:
         e = _LETTERS.get(key)
         if e is None:
             e = object.__new__(cls)
-            for name, value in zip(cls.__slots__, key):
+            # the fifth field, marked, is primed or zero
+            for name, value in zip(cls.__slots__, (*key, key[2] or key[3])):
                 object.__setattr__(e, name, value)
             _LETTERS[key] = e
         return e
@@ -131,7 +140,7 @@ def _rules(kind: str, n: int) -> _Rules:
     if kind.startswith("so"):
         letters.append(Entry(0, primed=qkind, zero=True))
     alpha = tuple(letters)
-    marked = [e.primed if qkind else e.zero for e in alpha]
+    marked = [e.marked for e in alpha]
     got = _RULES[(kind, n)] = _Rules(
         alpha, {e: r for r, e in enumerate(alpha)},
         tuple(r + m for r, m in enumerate(marked)),
@@ -424,31 +433,43 @@ def count_tableaux(kind: str, shape, n: int) -> int:
 # -- weights --------------------------------------------------------------
 
 
-def cell_weight(vt: VarTable, kind: str, n: int, e: Entry, i: int, j: int) -> MultiPoly:
-    """Weight of entry e in cell (i, j), with a_m = 0 for m <= 0.
-
-    Character kinds shift the parameter index by the letter and the cell
-    diagonal; Q kinds use the bare diagonal offset j-i on every letter.
-    """
-    if kind == "glChar":
-        return linear_factor(vt, vt.x_pos(e.k), 1, e.k + j - i, 1)
-    if kind == "spChar":
-        if e.barred:
-            return linear_factor(vt, vt.x_pos(e.k), -1, 2 * e.k - n + j - i, 1)
-        return linear_factor(vt, vt.x_pos(e.k), 1, 2 * e.k - 1 - n + j - i, 1)
-    if kind == "soChar":
-        if e.zero:
-            return linear_factor(vt, None, 0, n + 1 + j - i, -1)
-        if e.barred:
-            return linear_factor(vt, vt.x_pos(e.k), -1, 2 * e.k + 1 - n + j - i, 1)
-        return linear_factor(vt, vt.x_pos(e.k), 1, 2 * e.k - n + j - i, 1)
-    off = j - i
+@lru_cache(maxsize=None)
+def letter_factor(vt: VarTable, e: Entry, k: int) -> MultiPoly:
+    """The one linear factor letter e contributes at parameter index k,
+    wherever it is placed (a cell, or a lattice step): 1 - a_k for a zero
+    letter, else its variable (y for a primed letter, x otherwise, the
+    inverse when barred) minus a_k if marked and plus a_k if not.  Cached
+    like ``algebra.linear_factor``, so pass every argument positionally;
+    an error leaves no entry."""
     if e.zero:
-        return linear_factor(vt, None, 0, off, -1)
+        return linear_factor(vt, None, 0, k, -1)
     exp = -1 if e.barred else 1
     if e.primed:
-        return linear_factor(vt, vt.y_pos(e.k), exp, off, -1)
-    return linear_factor(vt, vt.x_pos(e.k), exp, off, 1)
+        return linear_factor(vt, vt.y_pos(e.k), exp, k, -1)
+    return linear_factor(vt, vt.x_pos(e.k), exp, k, 1)
+
+
+def cell_weight(vt: VarTable, kind: str, n: int, e: Entry, i: int, j: int) -> MultiPoly:
+    """Weight of entry e in cell (i, j), with a_m = 0 for m <= 0: the
+    letter's factor (``letter_factor``) at index base + j - i.
+
+    The base shifts the index by the letter in the character kinds (k in
+    glChar; 2k - 1 - n and 2k - n for spChar's k and kbar; 2k - n,
+    2k + 1 - n and n + 1 for soChar's k, kbar and 0); the Q kinds use the
+    bare diagonal offset j - i on every letter.  ValueError for an
+    unknown kind.
+    """
+    if kind == "glChar":
+        k = e.k
+    elif kind == "spChar":
+        k = 2 * e.k - n - 1 + e.barred
+    elif kind == "soChar":
+        k = n + 1 if e.zero else 2 * e.k - n + e.barred
+    elif kind in Q_KINDS:
+        k = 0
+    else:
+        raise ValueError(f"unknown tableau kind {kind!r}")
+    return letter_factor(vt, e, k + j - i)
 
 
 def row_factors(kind: str, n: int, i: int, row: tuple[Entry, ...],

@@ -16,8 +16,8 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import (AlgebraError, MultiPoly, add_a, vartable_for, xbar, xv,
-                      ybar, yv)
+from .algebra import (AlgebraError, MultiPoly, a_shifted_down, add_a,
+                      vartable_for, xbar, xv, ybar, yv)
 from .characters import (CHAR_ROUTES, GROUP_KINDS, _ratio_denominator,
                          h_factorial, h_range, one_part_expansion,
                          weyl_factor)
@@ -28,8 +28,8 @@ from .lattice import Path, is_lattice_path, tableau_to_paths
 from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
                          q_determinantal, q_md, q_tableaux, qtilde,
-                         shift_a_down, verify_tokuyama)
-from .tableaux import (ALL_KINDS, CHAR_KINDS, Q_KINDS, check_shape,
+                         verify_tokuyama)
+from .tableaux import (ALL_KINDS, Q_KINDS, check_shape,
                        enumerate_tableaux, require_valid, tableau_factors)
 
 
@@ -270,7 +270,7 @@ def _f_reduction_case(kind, n, p, q, m):
     if q == n:
         h = h_factorial(CHAR_KIND[kind], m, p, vt)
         if kind == "soQ":
-            h = shift_a_down(h, vt)
+            h = a_shifted_down(h)
         ok = ok and f_mpqn(kind, m, p, n, vt) == h
     return inputs, ok, {}
 
@@ -316,8 +316,8 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
               shapes=None, size_max: int | None = None) -> SuiteReport:
     """Per-family checks of the tableau-to-path map, the lattice-path model
     of Gessel and Viennot: edge-weight products reproduce tableau weights,
-    images are pairwise vertex-disjoint, the map is injective,
-    character-side D steps sit on the zero letters, and every path runs
+    images are pairwise vertex-disjoint, the map is injective, the D
+    steps sit on the marked letters (``Entry.marked``), and every path runs
     through the lattice from its fixed source to its fixed sink.
     ``shapes`` may pin an explicit list of (kind, parts, n); otherwise the
     grid runs over partitions with parts <= lambda_max (optionally
@@ -331,16 +331,17 @@ def suite_lgv(n_max: int = 2, lambda_max: int = 3, kind: str | None = None,
     row's sorted non-unit cell weights (``tableaux.row_factors``) against
     the path's sorted non-unit edge weights, the path's signature (its
     edge geometry and weights, since curved starts can share geometry),
-    its D steps (one per zero letter, at most one, in the character kinds,
-    empty rows included), and its geometry.  A path's geometry holds when
-    it starts at its source, ends in its source's column plus the row's
-    length, and is a lattice path (``lattice.is_lattice_path``: edges
-    chained by unit H, V and D steps, C steps from column 0 to 1, ending
-    on the bottom level).  The sources are written here from the model,
-    not taken from the walker: on the character side the staircase point
-    at level i (2i - 1 for sp/so) in column n - i + 1; on the Q side the
-    left edge at level d (2d - 1/2 for spQ/soQ), d the index of the row's
-    diagonal letter.
+    its D steps (one per marked letter that a step places, so not a Q
+    row's diagonal letter, which its C step places; at most one in a
+    character row, empty rows included), and its geometry.  A path's
+    geometry holds when it starts at its source, ends in its source's
+    column plus the row's length, and is a lattice path
+    (``lattice.is_lattice_path``: edges chained by unit H, V and D steps,
+    C steps from column 0 to 1, ending on the bottom level).  The sources
+    are written here from the model, not taken from the walker: on the
+    character side the staircase point at level i (2i - 1 for sp/so) in
+    column n - i + 1; on the Q side the left edge at level d (2d - 1/2 for
+    spQ/soQ), d the index of the row's diagonal letter.
 
     The edge weights read their parameter index off the step's lattice
     position and the cell weights off the cell, so the weight check
@@ -370,7 +371,7 @@ def _lgv_case(kind, parts, n):
     check_shape(kind, parts, n)
     vt = vartable_for(n, parts[0] if parts else 0)
     # the row memo hands a recurring row's path out as one object, and cell
-    # and edge factors are shared values (algebra.linear_factor), so
+    # and edge factors are shared values (tableaux.letter_factor), so
     # ``weights`` and ``checked`` are keyed by id; each entry holds its
     # weight or path, so the id cannot be reused while the case runs
     rows = {}
@@ -378,8 +379,9 @@ def _lgv_case(kind, parts, n):
     checked = {}
     weight_ids = {_term_key(MultiPoly.one(vt)): 0}
     sig_ids = {}
+    qkind = kind in Q_KINDS
     # the character kinds draw a path for every row up to n, empty ones too
-    pad = () if kind in Q_KINDS else ((),) * (n - len(parts))
+    pad = () if qkind else ((),) * (n - len(parts))
     index = range(1, n + 1)
 
     def key(w):
@@ -396,14 +398,15 @@ def _lgv_case(kind, parts, n):
         factors = tableaux.row_factors(kind, n, i, row, vt)
         cells = sorted(filter(None, map(key, factors)))
         sig = (tuple([(e.frm, e.to, e.kind) for e in p.edges]), tuple(ws))
-        if kind in Q_KINDS:
+        if qkind:
             k = row[0].k  # the diagonal letter's index
             source = (2 * k if kind == "glQ" else 4 * k - 1, 0)
         else:
             source = (2 * i if kind == "glChar" else 4 * i - 2, n - i + 1)
-        diagonal = kind not in CHAR_KINDS or (
-            (d := [e.kind for e in p.edges].count("D")) == sum(e.zero for e in row)
-            and d <= 1)
+        # a Q row's diagonal letter is placed by its C step
+        placed = row[1:] if qkind else row
+        d = [e.kind for e in p.edges].count("D")
+        diagonal = d == sum([e.marked for e in placed]) and (qkind or d <= 1)
         geometry = (p.start == source and p.end[1] == source[1] + len(row)
                     and is_lattice_path(kind, n, p))
         weight = edges == cells
@@ -457,7 +460,7 @@ class _RowCheck(NamedTuple):
     sig: int            # the path's signature id
     edges: list[int]    # the path's sorted non-unit edge weights, as interned ints
     weight: bool        # they equal the row's sorted non-unit cell weights
-    diagonal: bool      # D steps: one per zero letter, at most one (character kinds)
+    diagonal: bool      # one D step per marked letter a step places; <= 1 (char)
     geometry: bool      # the path runs from its source to its sink in the lattice
     path: Path          # kept, so its id in the key stays its own
 

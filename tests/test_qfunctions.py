@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charq.algebra import (AIndexOutOfRange, MultiPoly, VarTableMismatch,
-                           add_a, at_a_zero, av, determinant, specialize,
-                           vartable, vartable_for, xbar, xv, ybar, yv)
+from charq.algebra import (AIndexOutOfRange, MultiPoly, a_shifted_down, add_a,
+                           at_a_zero, av, determinant, specialize, vartable,
+                           vartable_for, xbar, xv, ybar, yv)
 from charq.characters import h_factorial
 from charq.partitions import enumerate_partitions
 from charq.qfunctions import (f_mpqn, prefactor, q_determinantal, q_md,
-                              q_tableaux, qfunction, qtilde, shift_a_down,
-                              staircase, verify_tokuyama)
+                              q_tableaux, qfunction, qtilde, staircase,
+                              verify_tokuyama)
 from charq.tableaux import count_tableaux
 
 from oracles import classical_q_brute
@@ -99,8 +99,7 @@ def test_q_md_examples():
     # the soQ unit factor consumes the first parameter slot: no a_1 here
     assert q_md("soQ", 1, 1, vt1) == \
         xv(vt1, 1) + xbar(vt1, 1) + MultiPoly.one(vt1)
-    assert q_md("soQ", 2, 1, vt1) == shift_a_down(
-        _so_printed_q(2, 1, vt1), vt1)
+    assert q_md("soQ", 2, 1, vt1) == a_shifted_down(_so_printed_q(2, 1, vt1))
 
 
 def _so_printed_q(m, d, vt):
@@ -220,14 +219,12 @@ def polys_with_a_ends(draw):
 @given(polys_with_a_ends())
 def test_shift_a_down_matches_the_specialize_form(case):
     p, vt = case
-    assert shift_a_down(p, vt) == _shift_by_specialize(p, vt)
+    assert a_shifted_down(p) == _shift_by_specialize(p, vt)
 
 
-def test_shift_a_down_refuses_another_table():
-    vt, other = vartable(2, 4), vartable(2, 5)
-    with pytest.raises(VarTableMismatch):
-        shift_a_down(av(vt, 2), other)
-    assert shift_a_down(av(vt, 2) * av(vt, 4) + av(vt, 1), vt) == av(vt, 1) * av(vt, 3)
+def test_a_shifted_down_relabels_each_parameter():
+    vt = vartable(2, 4)
+    assert a_shifted_down(av(vt, 2) * av(vt, 4) + av(vt, 1)) == av(vt, 1) * av(vt, 3)
 
 
 @pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
@@ -240,7 +237,7 @@ def test_f_reduces_to_q_and_h(kind):
                 assert f_mpqn(kind, m, d, d, vt) == q_md(kind, m, d, vt)
                 h = h_factorial(char_kind, m, d, vt)
                 if kind == "soQ":
-                    h = shift_a_down(h, vt)
+                    h = a_shifted_down(h)
                 assert f_mpqn(kind, m, d, n, vt) == h
 
 

@@ -10,14 +10,16 @@ from itertools import product
 import pytest
 
 from charq.algebra import (MultiPoly, av, vartable_for, xbar, xv, ybar, yv)
+from charq import tableaux
 from charq.characters import char_flagged_jt
+from charq.lattice import _edge_weight
 from charq.partitions import (Partition, StrictPartition, as_parts,
                               enumerate_partitions)
 from charq.tableaux import (ALL_KINDS, Q_KINDS, Entry, ShapeKindMismatch,
                             Tableau, alphabet, cell_weight, check_shape,
                             count_tableaux, entry_from_token, enumerate_tableaux,
-                            tableau_from_obj, tableau_weight,
-                            tableau_weight_sum, validate_tableau)
+                            letter_factor, row_factors, tableau_from_obj,
+                            tableau_weight, tableau_weight_sum, validate_tableau)
 
 from oracles import (brute_force_tableaux, dim_sp, partitions_brute,
                      satisfies_rules)
@@ -508,6 +510,30 @@ def test_figure_weights_soq():
     ]
     for (i, j), e in t.cells():
         assert cell_weight(vt, "soQ", 4, e, i, j) == want[i - 1][j - i], (i, j)
+
+
+def test_a_letter_is_marked_when_primed_or_zero():
+    for kind in ALL_KINDS:
+        for e in alphabet(kind, 3):
+            assert e.marked is (e.primed or e.zero), (kind, e)
+    assert "marked" in Entry.__slots__
+
+
+def test_letter_factor_is_a_module_level_lru_cache():
+    # the benchmark clears every module attribute with cache_info per pass
+    assert vars(tableaux)["letter_factor"] is letter_factor
+    assert callable(letter_factor.cache_info) and callable(letter_factor.cache_clear)
+
+
+@pytest.mark.parametrize("kind", ["glchar", "foo", "bogus"])
+def test_weights_refuse_an_unknown_kind(kind):
+    vt = vartable_for(2, 2)
+    with pytest.raises(ValueError, match="unknown tableau kind"):
+        cell_weight(vt, kind, 2, Entry(1), 1, 2)
+    with pytest.raises(ValueError, match="unknown tableau kind"):
+        _edge_weight(kind, 2, Entry(1), 1, 2, vt)
+    with pytest.raises(ValueError, match="unknown tableau kind"):
+        row_factors(kind, 2, 1, (Entry(1), Entry(2)), vt)
 
 
 def test_tableau_weight_rejects_invalid():

@@ -385,15 +385,47 @@ def test_lgv_reports_a_path_off_its_source(monkeypatch, kind, count):
 @pytest.mark.parametrize("kind,reason", [("glChar", "diagonal steps"),
                                          ("spChar", "diagonal steps"),
                                          ("soChar", "diagonal steps"),
-                                         ("glQ", "not a lattice path"),
-                                         ("spQ", "not a lattice path"),
-                                         ("soQ", "not a lattice path")])
+                                         ("glQ", "diagonal steps"),
+                                         ("spQ", "diagonal steps"),
+                                         ("soQ", "diagonal steps")])
 def test_lgv_reports_a_path_off_its_sink(monkeypatch, kind, reason):
-    # the moved path still ends on the bottom level with its weights; a
-    # character row gains a D step no zero letter accounts for
+    # the moved path still ends on the bottom level with its weights, and
+    # gains a D step no marked letter accounts for, which is checked first
     monkeypatch.setattr(lattice, "_row_path", _off_sink(lattice._row_path))
     rep = suite_lgv(shapes=[(kind, (2, 1), 3)])
     assert rep.cases[0].detail == {"count": 1, "reason": reason}
+
+
+def _unmarked_steps(real):
+    """``lattice._row_path`` with each D edge of a Q path replaced by a
+    unit V step down its column and an H step carrying the D edge's
+    weight: the path keeps its ends, weights and lattice steps, but its
+    primed letters no longer take a D step."""
+    def row_path(kind, n, i, row, vt):
+        p = real(kind, n, i, row, vt)
+        if kind not in Q_KINDS:
+            return p
+        edges = []
+        for e in p.edges:
+            if e.kind == "D":
+                corner = (e.to[0], e.frm[1])
+                edges += [Edge(e.frm, corner, "V", MultiPoly.one(vt)),
+                          Edge(corner, e.to, "H", e.weight)]
+            else:
+                edges.append(e)
+        return Path(p.start, p.end, tuple(edges))
+    return row_path
+
+
+@pytest.mark.parametrize("kind", ["glQ", "spQ", "soQ"])
+@pytest.mark.parametrize("parts,n", [((3,), 2), ((2,), 3)], ids=["3-n2", "2-n3"])
+def test_lgv_reports_a_primed_letter_without_its_diagonal_step(
+        monkeypatch, kind, parts, n):
+    # one-row shapes, so the moved steps meet no other path; the first
+    # tableau, the diagonal letter then unmarked letters, has no D step
+    monkeypatch.setattr(lattice, "_row_path", _unmarked_steps(lattice._row_path))
+    rep = suite_lgv(shapes=[(kind, parts, n)])
+    assert rep.cases[0].detail == {"count": 2, "reason": "diagonal steps"}
 
 
 @pytest.mark.parametrize("kind", ["glChar", "spChar", "soChar"])
