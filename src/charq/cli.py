@@ -11,13 +11,14 @@ Subcommands:
 Exit codes: 0 success, 2 usage or specification error (including an
 exponent outside the packed range), 3 identity failure (route
 disagreement or a failing suite case).  A reader that closes stdout early
-ends the command quietly with exit 0.  All output is exact and
-byte-identical across runs for identical invocations.
+ends the command quietly with exit 0, and Ctrl-C with exit 130.  All
+output is exact and byte-identical across runs for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -33,6 +34,7 @@ from .verify import SUITE_TABLE, SUITES, run_suite
 
 USAGE_ERROR = 2
 IDENTITY_ERROR = 3
+INTERRUPTED = 130   # 128 + SIGINT: Ctrl-C ends the command without a traceback
 
 
 class SpecError(Exception):
@@ -104,22 +106,10 @@ def _run_poly_command(args, families, routes, compute) -> int:
     return 0 if equal else IDENTITY_ERROR
 
 
-def cmd_char(args) -> int:
-    return _run_poly_command(args, TABLEAU_KIND, CHAR_ROUTES, character)
-
-
-def cmd_qfun(args) -> int:
-    return _run_poly_command(args, {k: k for k in QFUNC_KINDS}, Q_ROUTES,
-                             qfunction)
-
-
 def cmd_tableaux(args) -> int:
     if args.kind not in ALL_KINDS:
         raise SpecError(f"--kind must be one of {', '.join(ALL_KINDS)}")
     # refuse flags the command would ignore
-    if args.a == "zero":
-        raise SpecError("--a zero applies to char and qfun; tableaux and "
-                        "their path weights stay symbolic")
     if args.paths and (args.count or args.out == "text"):
         raise SpecError("--paths needs the JSON tableau stream, "
                         "not --count or --out text")
@@ -146,6 +136,9 @@ def _suite_params(name: str):
     return inspect.signature(SUITE_TABLE[name]).parameters
 
 
+GRID_BOUNDS = ("n_max", "lambda_max", "mu_max", "m_max")
+
+
 def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
@@ -157,8 +150,7 @@ def cmd_verify(args) -> int:
     if args.suite == "all" and args.kind:
         raise SpecError("--kind needs a single suite; no kind is valid for every suite")
     # only the grid flags given are passed on; the suites hold the defaults
-    kw = {k: getattr(args, k) for k in ("n_max", "lambda_max", "mu_max", "m_max")
-          if getattr(args, k) is not None}
+    kw = {k: getattr(args, k) for k in GRID_BOUNDS if getattr(args, k) is not None}
     if kw.get("n_max", 1) < 1:
         raise SpecError("--n-max must be at least 1")
     for param, value in kw.items():
@@ -213,23 +205,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_integer, required=True)
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated parts; empty for the empty partition")
-        p.add_argument("--a", choices=("symbolic", "zero"), default="symbolic")
+
+    def out(p):
         p.add_argument("--out", choices=("json", "text"), default="json")
 
-    p = sub.add_parser("char", help="compute a factorial character")
-    common(p)
-    p.add_argument("--method", default="jt", help="comma-separated subset of "
-                   f"{','.join(CHAR_ROUTES)} (default jt)")
-    p.set_defaults(func=cmd_char)
-
-    p = sub.add_parser("qfun", help="compute a factorial Q-function")
-    common(p)
-    p.add_argument("--method", default="det", help="comma-separated subset of "
-                   f"{','.join(Q_ROUTES)} (default det)")
-    p.set_defaults(func=cmd_qfun)
+    # one row per route command; --method's default is its entry point's
+    for name, what, families, routes, compute in (
+            ("char", "a factorial character", TABLEAU_KIND, CHAR_ROUTES, character),
+            ("qfun", "a factorial Q-function", {k: k for k in QFUNC_KINDS},
+             Q_ROUTES, qfunction)):
+        p = sub.add_parser(name, help=f"compute {what}")
+        common(p)
+        p.add_argument("--a", choices=("symbolic", "zero"), default="symbolic")
+        out(p)
+        default = inspect.signature(compute).parameters["method"].default
+        p.add_argument("--method", default=default, help="comma-separated "
+                       f"subset of {','.join(routes)} (default {default})")
+        p.set_defaults(func=functools.partial(_run_poly_command, families=families,
+                                              routes=routes, compute=compute))
 
     p = sub.add_parser("tableaux", help="stream a tableau family")
     common(p)
+    out(p)
     p.add_argument("--count", action="store_true", help="emit only the cardinality")
     p.add_argument("--paths", action="store_true",
                    help="include the lattice-path image of each tableau")
@@ -241,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None)
     p.add_argument("--n", type=_integer, default=None)
     p.add_argument("--lambda", dest="lam", default=None)
-    for bound in ("--n-max", "--lambda-max", "--mu-max", "--m-max"):
-        p.add_argument(bound, type=_integer, default=None)
-    p.add_argument("--out", choices=("json", "text"), default="json")
+    for bound in GRID_BOUNDS:
+        p.add_argument(_flag(bound), type=_integer, default=None)
+    out(p)
     p.set_defaults(func=cmd_verify)
     return ap
 
@@ -263,6 +260,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except KeyboardInterrupt:
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -16,14 +16,14 @@ from functools import reduce
 from operator import mul
 from typing import NamedTuple
 
-from .algebra import (AlgebraError, MultiPoly, a_shifted_down, add_a,
+from .algebra import (MultiPoly, a_shifted_down, add_a, determinant,
                       vartable_for, xbar, xv, ybar, yv)
-from .characters import (CHAR_ROUTES, GROUP_KINDS, _ratio_denominator,
-                         h_factorial, h_range, one_part_expansion,
-                         weyl_factor)
-# row_factors is read off the module when called, so the row check and
-# its fallback, tableau_factors, always weigh the same cell side
-from . import tableaux
+from .characters import (CHAR_ROUTES, GROUP_KINDS, h_factorial, h_range,
+                         one_part_expansion, weyl_factor)
+# read off their modules when called: tableaux.row_factors, so the row
+# check and its fallback, tableau_factors, always weigh the same cell side,
+# and the ratio routes' entries and Weyl factors of the h-denominator case
+from . import characters, tableaux
 from .lattice import Path, is_lattice_path, tableau_to_paths
 from .partitions import enumerate_partitions
 from .qfunctions import (CHAR_KIND, QFUNC_KINDS, f_mpqn, prefactor,
@@ -174,7 +174,15 @@ def suite_h_diff(n_max: int = 2, m_max: int = 4,
                  kind: str | None = None) -> SuiteReport:
     """One-variable-block difference relations, the last-variable
     recursion, the closed-form denominator determinants, and the one-part
-    expansions."""
+    expansions.
+
+    The denominator case expands each ratio route's dense n x n
+    denominator by cofactors and compares it with the product of its Weyl
+    factors, independently of the reduced check the routes run on the
+    same factors.  Dense expansion grows fast with n: about 0.6 s for the
+    whole suite at n_max = 5, m_max = 0, and at n = 6 the case takes
+    about 14 s for sp and 28 s for so (CPython 3.11, 2 shared cores).
+    """
     cases = []
     for k in _kinds(GROUP_KINDS, kind, "character"):
         for n in range(1, n_max + 1):
@@ -215,13 +223,17 @@ def _one_part_case(kind, n, m):
 
 
 def _h_denominator_case(kind, n):
+    """Weyl's denominator formula for each ratio route: the dense
+    determinant |entry(n - j, i)| is the product of the route's
+    ``ratio_factors``, sign included."""
     inputs = {"identity": "h-denominator", "kind": kind, "n": n}
     vt = vartable_for(n, 0 if kind == "gl" else 1)
-    try:
-        for route in ("hdet", "def"):
-            _ratio_denominator(kind, vt, route)
-    except AlgebraError:
-        return inputs, False, {}
+    for route, entry in characters._RATIO_ENTRIES.items():
+        den = determinant([[entry(kind, n - j, i, vt) for j in range(1, n + 1)]
+                           for i in range(1, n + 1)], vt=vt)
+        scales, pairs = characters.ratio_factors(kind, vt, route)
+        if den != reduce(mul, [*scales, *pairs.values()], MultiPoly.one(vt)):
+            return inputs, False, {}
     return inputs, True, {}
 
 

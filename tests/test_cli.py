@@ -1,11 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from charq import characters, cli, lattice, tableaux, verify
+from charq import characters, cli, lattice, qfunctions, tableaux, verify
 from charq.algebra import (MultiPoly, at_a_zero, poly_to_obj, poly_to_text,
                            vartable_for)
 from charq.cli import main
@@ -447,8 +448,7 @@ def test_usage_errors_exit_2(capsys):
         assert run(capsys, cmd, "--kind", kind, "--n", "2", "--lambda", "1",
                    "--method", methods)[:2] == (2, "")
     # tableaux flags that would have no effect
-    for flags in (("--a", "zero"), ("--a", "zero", "--paths"),
-                  ("--paths", "--count"), ("--paths", "--out", "text")):
+    for flags in (("--paths", "--count"), ("--paths", "--out", "text")):
         assert run(capsys, "tableaux", "--kind", "glQ", "--n", "2",
                    "--lambda", "2,1", *flags)[:2] == (2, "")
 
@@ -501,6 +501,38 @@ def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["char", "--kind", "gl"])  # missing required --n
     assert exc.value.code == 2
+    # tableaux and their path weights stay symbolic: tableaux has no --a
+    for flags in (("--a", "zero"), ("--a", "zero", "--paths")):
+        with pytest.raises(SystemExit) as exc:
+            main(["tableaux", "--kind", "glQ", "--n", "2", "--lambda", "2,1",
+                  *flags])
+        assert exc.value.code == 2
+
+
+def test_route_flags_belong_to_the_route_commands():
+    # option_strings, not --help bytes: argparse's layout differs by version
+    parsers = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command").choices
+
+    def options(name):
+        return {s for a in parsers[name]._actions for s in a.option_strings}
+
+    assert "--a" not in options("tableaux")
+    for name, entry in (("char", characters.character),
+                        ("qfun", qfunctions.qfunction)):
+        assert {"--a", "--method"} <= options(name)
+        method = next(a for a in parsers[name]._actions if a.dest == "method")
+        default = inspect.signature(entry).parameters["method"].default
+        assert method.default == default
+        assert f"(default {default})" in method.help
+
+
+def test_ctrl_c_exits_130_without_a_traceback(capsys, monkeypatch):
+    def interrupted(name, **kw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupted)
+    assert run(capsys, "verify", "--suite", "routes") == (130, "", "")
 
 
 def test_subprocess_invocation_end_to_end():

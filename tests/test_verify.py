@@ -66,6 +66,19 @@ def test_h_denominator_reports_a_wrong_weyl_factor(monkeypatch):
         "identity": "h-denominator", "kind": "gl", "n": 2}
 
 
+def test_h_denominator_expands_its_own_determinants(monkeypatch):
+    # the case states Weyl's formula itself, not through the routes' check
+    def refused(kind, vt, route):
+        raise AssertionError("the reduced denominator check was called")
+
+    monkeypatch.setattr(characters, "_ratio_denominator", refused)
+    # and any alias of it that verify might hold
+    monkeypatch.setattr(verify, "_ratio_denominator", refused, raising=False)
+    rep = verify.suite_h_diff(n_max=3, m_max=0)
+    assert rep.ok
+    assert sum(c.inputs["identity"] == "h-denominator" for c in rep.cases) == 9
+
+
 def test_lgv_pinned_shapes():
     rep = suite_lgv(shapes=[("spChar", (1, 1), 2), ("glQ", (2, 1), 2)])
     assert rep.ok and len(rep.cases) == 2
